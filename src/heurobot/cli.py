@@ -57,6 +57,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    if args.jobs < 1:
+        print(f"error: --jobs must be >= 1, got {args.jobs}", file=sys.stderr)
+        return 2
     try:
         if args.plan == "builtin":
             plan = builtin_plan(args.task)

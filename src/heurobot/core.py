@@ -10,6 +10,7 @@ and are clamped exactly once, at environment entry.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 TASK_KINDS = (
@@ -62,6 +63,11 @@ def one_hot(dim: int, index: int, value: float) -> Action:
     out = [0.0] * dim
     out[index] = value
     return tuple(out)
+
+
+def is_finite_number(value: object) -> bool:
+    """True for an int or float that converts to a finite float; bools are not numbers."""
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
 
 
 def wrap_angle(angle: float) -> float:

@@ -24,6 +24,7 @@ from .core import (
     Point3,
     RobotState,
     clamp,
+    is_finite_number,
     wrap_angle,
 )
 
@@ -86,22 +87,18 @@ class EnvConfig:
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
-        if self.disturbance_std < 0:
-            raise ValueError("disturbance_std must be non-negative")
-        for name in (
-            "linear_velocity_scale",
-            "angular_velocity_scale",
-            "grasp_radius",
-            "door_success_fraction",
-            "drawer_success_fraction",
-            "bucket_xy_tolerance",
-            "bucket_height_tolerance",
-            "chair_xy_tolerance",
-        ):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "int":  # annotations are strings: postponed evaluation
+                if type(value) is not int:
+                    raise ValueError(f"{f.name} must be an integer, got {value!r}")
+            elif not is_finite_number(value):
+                raise ValueError(f"{f.name} must be a finite number, got {value!r}")
+            elif f.name == "disturbance_std":
+                if value < 0:
+                    raise ValueError("disturbance_std must be non-negative")
+            elif value <= 0:
+                raise ValueError(f"{f.name} must be positive")
         if self.max_steps < 1:
             raise ValueError("max_steps must be >= 1")
 

@@ -17,7 +17,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .core import Action, ActionIndexMap, Observation, new_action, one_hot
+from .core import Action, ActionIndexMap, Observation, one_hot
 
 
 class SubTaskError(RuntimeError):
@@ -205,6 +205,3 @@ class ArmStabilizer:
                 out[mt.active_index] += act[mt.active_index]
         self.steps_taken += 1
         return tuple(out)
-
-    def zero(self) -> Action:
-        return new_action(self.index_map.dim)

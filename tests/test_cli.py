@@ -1,6 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import heurobot
 
 from heurobot.cli import main, parse_seeds
 from heurobot.plans import builtin_plan, serialize_plan
@@ -163,3 +169,35 @@ def test_report_rejects_trajectory_files(tmp_path, capsys):
     capsys.readouterr()
     rc = main(["report", str(out / "open_cabinet_door_seed00001.jsonl")])
     assert rc == 1
+
+
+@pytest.mark.parametrize(
+    "entry_edit, config, extra",
+    [
+        ((0, "steps", "5"), None, []),
+        ((1, "target", "target_x"), None, []),
+        (None, {"dt": "0.05"}, []),
+        (None, None, ["--jobs", "0"]),
+    ],
+    ids=["string_steps", "door_goal_point_target", "string_dt", "zero_jobs"],
+)
+def test_run_rejects_bad_input_with_one_error_line(tmp_path, entry_edit, config, extra):
+    out = tmp_path / "o"
+    argv = ["run", "--task", "open_cabinet_door", "--seeds", "1", "--out", str(out), "--quiet", *extra]
+    if entry_edit is not None:
+        doc = json.loads(serialize_plan(builtin_plan("open_cabinet_door")))
+        index, key, value = entry_edit
+        doc["entries"][index][key] = value
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text(json.dumps(doc))
+        argv += ["--plan", str(plan_path)]
+    if config is not None:
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config))
+        argv += ["--config", str(config_path)]
+    env = dict(os.environ, PYTHONPATH=str(Path(heurobot.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "heurobot.cli", *argv], capture_output=True, text=True, env=env)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()

@@ -320,6 +320,24 @@ def test_env_config_mapping_round_trip():
     assert EnvConfig.from_mapping(cfg.to_mapping()) == cfg
 
 
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"dt": "0.05"},
+        {"dt": math.nan},
+        {"disturbance_std": math.inf},
+        {"grasp_radius": None},
+        {"linear_velocity_scale": True},
+        {"max_steps": 1.5},
+        {"max_steps": True},
+        {"rng_seed": "0"},
+    ],
+)
+def test_env_config_rejects_wrong_typed_and_non_finite_fields(data):
+    with pytest.raises(ValueError, match=next(iter(data))):
+        EnvConfig.from_mapping(data)
+
+
 def test_env_config_rejects_unknown_keys_and_bad_values():
     with pytest.raises(ValueError, match="unknown"):
         EnvConfig.from_mapping({"gravity": 9.8})

@@ -1,8 +1,11 @@
+import json
 import math
+import random
 
 import pytest
 
 from heurobot.core import TASK_KINDS
+from heurobot.orchestrator import run_episode
 from heurobot.plans import (
     Plan,
     PlanEntry,
@@ -13,7 +16,6 @@ from heurobot.plans import (
     load_plan,
     resolve,
     serialize_plan,
-    validate_plan,
 )
 from heurobot.subtasks import MoveSteps, MoveTo
 
@@ -94,6 +96,13 @@ def test_load_invalid_json_reports_position():
         load_plan("{nope")
 
 
+def test_load_rejects_json_beyond_parser_limits():
+    with pytest.raises(PlanError, match="invalid JSON"):
+        load_plan("[" * 100_000)
+    with pytest.raises(PlanError, match="invalid JSON"):
+        load_plan('{"task_kind": "push_chair", "entries": [{"kind": "move_steps", "steps": 1' + "0" * 5000 + "}]}")
+
+
 def test_load_duplicate_stabilizer_marker():
     text = """
     {"task_kind": "move_bucket", "entries": [
@@ -137,20 +146,78 @@ def test_load_rejects_bad_schema_version():
 def test_validate_rejects_bad_velocity_threshold_and_task():
     entry = PlanEntry(kind="move_to", label="x", slot="platform_x", selector="platform_x", target=1.0, velocity=2.0)
     with pytest.raises(PlanError, match="velocity"):
-        validate_plan(Plan(task_kind="push_chair", entries=(entry,)))
+        Plan(task_kind="push_chair", entries=(entry,))
     entry = PlanEntry(kind="move_to", label="x", slot="platform_x", selector="platform_x", target=1.0, threshold=-1.0)
     with pytest.raises(PlanError, match="threshold"):
-        validate_plan(Plan(task_kind="push_chair", entries=(entry,)))
+        Plan(task_kind="push_chair", entries=(entry,))
     with pytest.raises(PlanError, match="task kind"):
-        validate_plan(Plan(task_kind="fold_laundry", entries=(entry,)))
+        Plan(task_kind="fold_laundry", entries=(entry,))
     with pytest.raises(PlanError, match="no entries"):
-        validate_plan(Plan(task_kind="push_chair", entries=()))
+        Plan(task_kind="push_chair", entries=())
 
 
 def test_validate_rejects_single_arm_plan_using_right_arm():
     entry = PlanEntry(kind="move_steps", label="a", action={"right_fingers": 0.5}, steps=3)
     with pytest.raises(PlanError, match="right_fingers"):
-        validate_plan(Plan(task_kind="open_cabinet_door", entries=(entry,)))
+        Plan(task_kind="open_cabinet_door", entries=(entry,))
+
+
+@pytest.mark.parametrize(
+    "task_kind, index, key, value",
+    [
+        ("push_chair", 0, "steps", "5"),
+        ("push_chair", 0, "steps", 2.5),
+        ("push_chair", 0, "steps", True),
+        ("push_chair", 0, "action", {"platform_x": None}),
+        ("push_chair", 0, "action", {"platform_x": "0.2"}),
+        ("push_chair", 0, "action", {"platform_x": math.inf}),
+        ("push_chair", 0, "label", ["approach"]),
+        ("push_chair", 0, "slot", "platform_x"),  # move_steps takes no slot
+        ("push_chair", 1, "velocity", "0.5"),
+        ("push_chair", 1, "velocity", True),
+        ("push_chair", 1, "threshold", "x"),
+        ("push_chair", 1, "threshold", math.nan),
+        ("push_chair", 1, "selector", ["finger_height"]),
+        ("push_chair", 1, "target", True),
+        ("push_chair", 1, "target", math.inf),
+        ("push_chair", 1, "target", "target_edge_x:nan"),
+        ("push_chair", 1, "target", "target_edge_x:far"),
+        ("open_cabinet_door", 1, "target", "target_x"),
+        ("open_cabinet_door", 1, "target", "facing_yaw:target"),
+        ("open_cabinet_door", 1, "target", "target_edge_y:0.35"),
+    ],
+)
+def test_load_rejects_mistyped_fields_and_goal_point_targets_without_goal(task_kind, index, key, value):
+    doc = json.loads(serialize_plan(builtin_plan(task_kind)))
+    doc["entries"][index][key] = value
+    with pytest.raises(PlanError, match=f"entry {index}"):
+        load_plan(json.dumps(doc))
+
+
+FUZZ_VALUES = ("5", "x", "", "target_x", "facing_yaw:target", "target_edge_x:nan", True, False, None,
+               [1], {"platform_x": 0.2}, math.nan, math.inf, -1, 0, 2.5)
+
+
+@pytest.mark.parametrize("task_kind", TASK_KINDS)
+def test_fuzzed_builtin_plans_fail_typed_or_run(task_kind):
+    rng = random.Random(f"plan-fuzz:{task_kind}")
+    accepted = 0
+    for _ in range(60):
+        doc = json.loads(serialize_plan(builtin_plan(task_kind)))
+        entry = rng.choice(doc["entries"])
+        key = rng.choice(sorted(entry))
+        value = rng.choice(FUZZ_VALUES)
+        if key == "action" and rng.random() < 0.5:
+            entry["action"][rng.choice(sorted(entry["action"]))] = value
+        else:
+            entry[key] = value
+        try:
+            plan = load_plan(json.dumps(doc))
+        except PlanError:
+            continue
+        accepted += 1
+        run_episode(task_kind, plan, None, seed=rng.randrange(1000))
+    assert accepted > 0
 
 
 # -------------------------------------------------------------- resolution
