@@ -45,7 +45,10 @@ def _load_config(path: str | None) -> EnvConfig:
     if path is None:
         return EnvConfig()
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: config JSON is nested too deeply") from None
     if not isinstance(data, dict):
         raise ValueError(f"{path}: config must be a JSON object")
     return EnvConfig.from_mapping(data)

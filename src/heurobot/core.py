@@ -46,14 +46,14 @@ def new_action(dim: int) -> Action:
 
 def clamp(action: Action) -> Action:
     """Saturate every component into [-1, +1]. Idempotent."""
-    return tuple(-1.0 if v < -1.0 else (1.0 if v > 1.0 else v) for v in action)
+    return tuple([-1.0 if v < -1.0 else (1.0 if v > 1.0 else v) for v in action])
 
 
 def add(a: Action, b: Action) -> Action:
     """Component-wise sum, intentionally not clamped."""
     if len(a) != len(b):
         raise ValueError(f"action dimension mismatch: {len(a)} vs {len(b)}")
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple([x + y for x, y in zip(a, b)])
 
 
 def one_hot(dim: int, index: int, value: float) -> Action:
@@ -120,14 +120,20 @@ class ActionIndexMap:
     robot: RobotConfig
     slots: tuple[str, ...]
     _index: dict[str, int] = field(repr=False, compare=False, default_factory=dict)
+    # per arm: the joint slot indices and the finger slot index
+    joint_slots: tuple[tuple[int, ...], ...] = field(repr=False, compare=False, default=())
+    finger_slots: tuple[int, ...] = field(repr=False, compare=False, default=())
 
     @classmethod
     def for_robot(cls, robot: RobotConfig) -> "ActionIndexMap":
         names = list(PLATFORM_SLOTS)
+        joint_slots, finger_slots = [], []
         for arm in robot.arms:
+            joint_slots.append(tuple(range(len(names), len(names) + robot.joints_per_arm)))
             names.extend(f"{arm}_arm_joint_{j}" for j in range(robot.joints_per_arm))
+            finger_slots.append(len(names))
             names.append(f"{arm}_fingers")
-        m = cls(robot=robot, slots=tuple(names))
+        m = cls(robot=robot, slots=tuple(names), joint_slots=tuple(joint_slots), finger_slots=tuple(finger_slots))
         m._index.update({name: i for i, name in enumerate(names)})
         return m
 
@@ -145,13 +151,13 @@ class ActionIndexMap:
         return self.slots[index]
 
     def arm_joint(self, arm: int, joint: int) -> int:
-        return self.index_of(f"{self.robot.arms[arm]}_arm_joint_{joint}")
+        return self.joint_slots[arm][joint]
 
     def arm_joint_slots(self, arm: int) -> tuple[int, ...]:
-        return tuple(self.arm_joint(arm, j) for j in range(self.robot.joints_per_arm))
+        return self.joint_slots[arm]
 
     def finger_slot(self, arm: int) -> int:
-        return self.index_of(f"{self.robot.arms[arm]}_fingers")
+        return self.finger_slots[arm]
 
     def build(self, assignments: dict[str, float]) -> Action:
         """Action with the named slots set and every other component zero."""

@@ -252,6 +252,9 @@ class MockEnv:
         self.config = config if config is not None else EnvConfig()
         self.robot_config = TASK_ROBOT[task_kind]
         self.index_map = ActionIndexMap.for_robot(self.robot_config)
+        # lateral arm base offset per arm: centered on one-armed robots
+        n = len(self.robot_config.arms)
+        self._mounts = (0.0,) if n == 1 else tuple(ARM_MOUNT_Y if arm == 0 else -ARM_MOUNT_Y for arm in range(n))
         self.state: EnvState | None = None
         self._done = False
 
@@ -264,7 +267,6 @@ class MockEnv:
         layout = _sample_layout(self.task_kind, layout_rng)
 
         n_arms = len(self.robot_config.arms)
-        joints = tuple(READY_POSE for _ in range(n_arms))
         state = EnvState(
             robot=None,  # type: ignore[arg-type]  # filled below
             object=None,  # type: ignore[arg-type]
@@ -297,7 +299,7 @@ class MockEnv:
             raise RuntimeError("episode already done; reset() to start a new one")
         if len(action) != self.index_map.dim:
             raise ValueError(f"action dimension {len(action)} != {self.index_map.dim}")
-        if not all(math.isfinite(v) for v in action):
+        if not all(map(math.isfinite, action)):
             raise ValueError("action contains non-finite components")
         act = clamp(action)
         cfg = self.config
@@ -310,15 +312,15 @@ class MockEnv:
         p[3] = wrap_angle(p[3] + act[2] * ang)
         p[2] = min(max(p[2] + act[3] * lin, HEIGHT_LIMITS[0]), HEIGHT_LIMITS[1])
 
-        for arm in range(len(self._joints)):
-            slots = self.index_map.arm_joint_slots(arm)
-            q = self._joints[arm]
-            for j, slot in enumerate(slots):
-                q[j] += act[slot] * ang
-            if state.attachments[arm] is not None:
+        normal = state.noise_rng.normalvariate
+        std = cfg.disturbance_std
+        bound = NOISE_TRUNCATION * std
+        for q, slots, attached in zip(self._joints, self.index_map.joint_slots, state.attachments):
+            q[:] = [x + act[slot] * ang for x, slot in zip(q, slots)]
+            if attached is not None:
                 # reaction-force proxy: seeded noise on loaded arms only
-                for j in range(len(q)):
-                    q[j] += self._noise()
+                noise = [normal(0.0, std) for _ in q]
+                q[:] = [x + (-bound if v < -bound else (bound if v > bound else v)) for x, v in zip(q, noise)]
 
         fingers = self._compute_fingers()
         self._update_object(fingers, lin)
@@ -344,42 +346,24 @@ class MockEnv:
             return state.articulation >= cfg.door_success_fraction * lay.art_target
         if self.object_kind == "drawer":
             return state.articulation >= cfg.drawer_success_fraction * lay.art_target
+        off_target = math.hypot(state.object_xy[0] - lay.target[0], state.object_xy[1] - lay.target[1])
         if self.object_kind == "bucket":
-            if any(a is not None for a in state.attachments):
-                return False
-            dx = state.object_xy[0] - lay.target[0]
-            dy = state.object_xy[1] - lay.target[1]
             return (
-                math.hypot(dx, dy) <= cfg.bucket_xy_tolerance
+                not any(a is not None for a in state.attachments)
+                and off_target <= cfg.bucket_xy_tolerance
                 and abs(state.object_z - PLATFORM_TOP_HEIGHT) <= cfg.bucket_height_tolerance
             )
-        dx = state.object_xy[0] - lay.target[0]
-        dy = state.object_xy[1] - lay.target[1]
-        return math.hypot(dx, dy) <= cfg.chair_xy_tolerance
+        return off_target <= cfg.chair_xy_tolerance
 
     # ------------------------------------------------------------- internals
-
-    def _noise(self) -> float:
-        std = self.config.disturbance_std
-        v = self.state.noise_rng.normalvariate(0.0, std)
-        bound = NOISE_TRUNCATION * std
-        return min(max(v, -bound), bound)
 
     def _compute_fingers(self) -> tuple[Point3, ...]:
         px, py, ph, yaw = self._platform
         cos_y, sin_y = math.cos(yaw), math.sin(yaw)
-        single = len(self._joints) == 1
         out = []
-        for arm, q in enumerate(self._joints):
-            mount = 0.0 if single else (ARM_MOUNT_Y if arm == 0 else -ARM_MOUNT_Y)
+        for q, mount in zip(self._joints, self._mounts):
             reach, lateral, rise = finger_local(tuple(q), mount)
-            out.append(
-                (
-                    px + cos_y * reach - sin_y * lateral,
-                    py + sin_y * reach + cos_y * lateral,
-                    ph + rise,
-                )
-            )
+            out.append((px + cos_y * reach - sin_y * lateral, py + sin_y * reach + cos_y * lateral, ph + rise))
         return tuple(out)
 
     def _mid_fingers(self, fingers: tuple[Point3, ...]) -> Point3:
@@ -449,8 +433,8 @@ class MockEnv:
         state = self.state
         grasp_radius = self.config.grasp_radius
         released = False
-        for arm in range(len(state.attachments)):
-            cmd = act[self.index_map.finger_slot(arm)]
+        for arm, slot in enumerate(self.index_map.finger_slots):
+            cmd = act[slot]
             if state.attachments[arm] is None:
                 if cmd > 0.0 and self._grip_distance(arm, fingers) <= grasp_radius:
                     state.attachments[arm] = self.object_kind
@@ -510,7 +494,7 @@ class MockEnv:
             platform_y=self._platform[1],
             platform_height=self._platform[2],
             platform_yaw=self._platform[3],
-            arm_joints=tuple(tuple(q) for q in self._joints),
+            arm_joints=tuple(map(tuple, self._joints)),
             finger_positions=fingers,
             grasping=tuple(a is not None for a in state.attachments),
         )

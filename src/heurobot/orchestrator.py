@@ -5,7 +5,9 @@ stabilizer contribution (once its marker has been passed) is added, the sum
 is clamped and handed to the environment. Episodes stop on task success, on
 the step cap, or when every sub-task has finished. Markers consume no
 environment steps: enabling the stabilizer and stepping the next sub-task
-happen within the same iteration.
+happen within the same iteration. A plan that cannot be resolved against the
+first observation, or an error inside a step, fails that episode with its
+``error`` set; it never ends the batch.
 """
 
 from __future__ import annotations
@@ -78,9 +80,12 @@ def run_episode(task_kind: str, plan: Plan, env_config: EnvConfig | None = None,
         raise ValueError(f"plan is for {plan.task_kind!r}, episode requested {task_kind!r}")
     env = MockEnv(task_kind, env_config)
     obs = env.reset(seed)
-    subtasks = resolve(plan, obs)
-    dim = env.index_map.dim
-    zeros = new_action(dim)
+    try:
+        subtasks = resolve(plan, obs)
+    except Exception as e:  # noqa: BLE001 - episode failures must not kill a batch
+        return EpisodeResult(task_kind, seed, success=False, steps=0, subtask_trace=(), trajectory=(),
+                             subtask_steps=(0,) * len(plan.entries), error=f"resolve: {e}")
+    zeros = new_action(env.index_map.dim)
 
     stabilizer: ArmStabilizer | None = None
     idx = 0
@@ -95,12 +100,9 @@ def run_episode(task_kind: str, plan: Plan, env_config: EnvConfig | None = None,
             if isinstance(st, StabilizerOn):
                 if stabilizer is None:
                     stabilizer = ArmStabilizer(env.index_map, obs.robot.arm_joints)
-                idx += 1
-                continue
-            if st.done:
-                idx += 1
-                continue
-            break
+            elif not st.done:
+                break
+            idx += 1
         if idx >= len(subtasks):
             break  # plan exhausted without success
         st = subtasks[idx]
@@ -116,16 +118,13 @@ def run_episode(task_kind: str, plan: Plan, env_config: EnvConfig | None = None,
         records.append(record)
         trace.append(idx)
 
-    steps_per_entry = tuple(
-        0 if isinstance(st, StabilizerOn) else st.steps_taken for st in subtasks
-    )
     return EpisodeResult(
         task_kind=task_kind,
         seed=seed,
         success=env.success() and error is None,
         steps=len(records),
         subtask_trace=tuple(trace),
-        subtask_steps=steps_per_entry,
+        subtask_steps=tuple(0 if isinstance(st, StabilizerOn) else st.steps_taken for st in subtasks),
         trajectory=tuple(records),
         error=error,
     )
@@ -147,6 +146,8 @@ def run_batch(
     seeds = list(seeds)
     if not seeds:
         raise ValueError("run_batch requires at least one seed")
+    if jobs < 1:
+        raise ValueError(f"run_batch requires jobs >= 1, got {jobs}")
     if jobs > 1:
         work = [(task_kind, plan, env_config, s) for s in seeds]
         with ProcessPoolExecutor(max_workers=jobs) as pool:

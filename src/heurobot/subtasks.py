@@ -3,8 +3,9 @@
 Two primitives cover every task script: emit a fixed action for a fixed
 number of steps, or drive one selected scalar of the observation toward a
 target by activating exactly one action component at +/-v until the error
-drops below a threshold. A continuously re-arming bank of such correctors
-doubles as the arm stabilizer.
+drops below a threshold. The arm stabilizer applies the same bang-bang rule
+to every arm joint at once and keeps a per-joint settled mask, so a joint
+that drifts back out of its band re-arms.
 
 Both primitives deliberately emit before they evaluate their done flag, so
 even an already-converged controller produces exactly one action.
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from .core import Action, ActionIndexMap, Observation, one_hot
@@ -146,15 +147,15 @@ STABILIZER_THRESHOLD = 0.01  # rad, per joint
 
 @dataclass
 class ArmStabilizer:
-    """Holds the arm joints at a reference pose with re-arming correctors.
+    """Holds the arm joints at a reference pose with one vector bang-bang.
 
-    One MoveTo corrector per joint, threshold 0.01. Unlike one-shot
-    sub-tasks the correctors re-arm whenever the joint drifts back out of
-    the threshold band, and the correction gain degenerates geometrically
-    (``velocity * decay**k``, floored) so the hold softens over time;
-    ``decay=1.0`` selects a constant gain. The output is meant to be added
-    to the main-stream action before clamping and is zero outside the
-    stabilized joint slots.
+    Each joint that is not settled emits +/-gain at its slot toward its
+    reference angle, then counts as settled once |error| < 0.01; a settled
+    joint stays silent until it drifts back out of that band. The gain
+    degenerates geometrically (``velocity * decay**k``, floored) so the hold
+    softens over time; ``decay=1.0`` selects a constant gain. The output is
+    meant to be added to the main-stream action before clamping and is zero
+    outside the stabilized joint slots.
     """
 
     index_map: ActionIndexMap
@@ -164,7 +165,6 @@ class ArmStabilizer:
     min_velocity: float = 0.02
     threshold: float = STABILIZER_THRESHOLD
     steps_taken: int = 0
-    correctors: list[MoveTo] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         robot = self.index_map.robot
@@ -175,18 +175,15 @@ class ArmStabilizer:
                 raise ValueError(
                     f"reference pose for arm {arm} has {len(pose)} joints, expected {robot.joints_per_arm}"
                 )
-            for joint, angle in enumerate(pose):
-                self.correctors.append(
-                    MoveTo(
-                        active_index=self.index_map.arm_joint(arm, joint),
-                        target=angle,
-                        selector=arm_joint_selector(arm, joint),
-                        action_dim=self.index_map.dim,
-                        velocity=self.velocity,
-                        threshold=self.threshold,
-                        label=f"stabilize_{robot.arms[arm]}_joint_{joint}",
-                    )
-                )
+        if not (0.0 < self.velocity <= 1.0 and self.threshold > 0.0):
+            raise ValueError(f"stabilizer velocity {self.velocity} must be in (0, 1], threshold {self.threshold} > 0")
+        # per joint, in arm-major order: (arm, joint, action slot, target); _settled[k] is joint k's mask bit
+        self._joints = tuple(
+            (arm, joint, slot, angle)
+            for arm, (pose, slots) in enumerate(zip(self.reference, self.index_map.joint_slots))
+            for joint, (angle, slot) in enumerate(zip(pose, slots))
+        )
+        self._settled = [False] * len(self._joints)
 
     @property
     def gain(self) -> float:
@@ -194,14 +191,22 @@ class ArmStabilizer:
 
     def step(self, obs: Observation) -> Action:
         g = self.gain
+        pos, neg = 0.0 + g, 0.0 - g  # +/-gain as summed into a zero action
+        settled = self._settled
+        joints = obs.robot.arm_joints
         out = [0.0] * self.index_map.dim
-        for mt in self.correctors:
-            d = mt.distance(obs)
-            if mt.done and abs(d) >= mt.threshold:
-                mt.done = False  # re-arm: stabilization is continuous
-            if not mt.done:
-                mt.velocity = g
-                act, _ = mt.step(obs)
-                out[mt.active_index] += act[mt.active_index]
+        for k, (arm, joint, slot, target) in enumerate(self._joints):
+            try:
+                x = joints[arm][joint]
+            except IndexError:
+                raise SubTaskError(f"arm joint ({arm}, {joint}) not present in observation") from None
+            if not math.isfinite(x):
+                name = self.index_map.robot.arms[arm]
+                raise SubTaskError(f"stabilize_{name}_joint_{joint}: selector returned non-finite value {x!r}")
+            d = target - x
+            if settled[k] and abs(d) < self.threshold:
+                continue  # settled and still inside the band
+            out[slot] = pos if d > 0 else neg
+            settled[k] = abs(d) < self.threshold
         self.steps_taken += 1
         return tuple(out)

@@ -178,8 +178,9 @@ def test_report_rejects_trajectory_files(tmp_path, capsys):
         ((1, "target", "target_x"), None, []),
         (None, {"dt": "0.05"}, []),
         (None, None, ["--jobs", "0"]),
+        (None, "[" * 100000, []),
     ],
-    ids=["string_steps", "door_goal_point_target", "string_dt", "zero_jobs"],
+    ids=["string_steps", "door_goal_point_target", "string_dt", "zero_jobs", "config_nested_too_deep"],
 )
 def test_run_rejects_bad_input_with_one_error_line(tmp_path, entry_edit, config, extra):
     out = tmp_path / "o"
@@ -193,7 +194,7 @@ def test_run_rejects_bad_input_with_one_error_line(tmp_path, entry_edit, config,
         argv += ["--plan", str(plan_path)]
     if config is not None:
         config_path = tmp_path / "config.json"
-        config_path.write_text(json.dumps(config))
+        config_path.write_text(config if isinstance(config, str) else json.dumps(config))
         argv += ["--config", str(config_path)]
     env = dict(os.environ, PYTHONPATH=str(Path(heurobot.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-m", "heurobot.cli", *argv], capture_output=True, text=True, env=env)

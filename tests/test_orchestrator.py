@@ -1,9 +1,10 @@
 import pytest
 
+from heurobot import orchestrator
 from heurobot.core import TASK_KINDS
 from heurobot.mockenv import EnvConfig
 from heurobot.orchestrator import replay_actions, run_batch, run_episode
-from heurobot.plans import Plan, PlanEntry, builtin_plan
+from heurobot.plans import Plan, PlanEntry, PlanError, builtin_plan
 
 
 def idle_plan(task_kind="open_cabinet_door", steps=5):
@@ -157,6 +158,34 @@ def test_batch_reports_sorted_by_seed():
 def test_batch_requires_seeds():
     with pytest.raises(ValueError):
         run_batch("open_cabinet_door", idle_plan(), None, [])
+
+
+@pytest.mark.parametrize("jobs", [0, -1])
+def test_batch_rejects_jobs_below_one(jobs):
+    with pytest.raises(ValueError, match="jobs"):
+        run_batch("open_cabinet_door", idle_plan(), None, [1], jobs=jobs)
+
+
+def test_resolve_error_fails_its_episode_not_the_batch(monkeypatch):
+    real_resolve = orchestrator.resolve
+    calls = []
+
+    def resolve_failing_second_episode(plan, obs):
+        calls.append(obs)
+        if len(calls) == 2:
+            raise PlanError("target point coincides with the robot start position")
+        return real_resolve(plan, obs)
+
+    monkeypatch.setattr(orchestrator, "resolve", resolve_failing_second_episode)
+    plan = builtin_plan("open_cabinet_door")
+    batch = run_batch("open_cabinet_door", plan, None, [1, 2, 3])
+    failed = batch.results[1]
+    assert (failed.seed, failed.success, failed.steps) == (2, False, 0)
+    assert failed.trajectory == () and failed.subtask_trace == ()
+    assert failed.subtask_steps == (0,) * len(plan.entries)
+    assert failed.error is not None and "coincides" in failed.error
+    assert all(r.success and r.error is None for r in (batch.results[0], batch.results[2]))
+    assert batch.success_rate == pytest.approx(2 / 3)
 
 
 def test_batch_parallel_matches_serial():

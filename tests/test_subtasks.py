@@ -1,14 +1,16 @@
+import json
 import math
 import random
 
 import pytest
 
-from heurobot.core import ActionIndexMap, RobotConfig
+from heurobot.core import DUAL_ARM, SINGLE_ARM, ActionIndexMap, RobotConfig
 from heurobot.subtasks import (
     ArmStabilizer,
     MoveSteps,
     MoveTo,
     SubTaskError,
+    arm_joint_selector,
     get_selector,
 )
 
@@ -226,9 +228,16 @@ def obs_for_joints(index_map, joints):
 def test_stabilizer_init_builds_one_corrector_per_joint():
     m = two_joint_map()
     stab = ArmStabilizer(m, ((0.1, -0.3),))
-    assert len(stab.correctors) == 2
-    assert [c.target for c in stab.correctors] == [0.1, -0.3]
-    assert all(c.threshold == 0.01 for c in stab.correctors)
+    j0, j1 = m.arm_joint(0, 0), m.arm_joint(0, 1)
+    # one channel per joint, each pushing toward its own reference angle
+    first = stab.step(obs_for_joints(m, ((0.5, -0.5),)))
+    assert first[j0] == -stab.velocity and first[j1] == stab.velocity
+    assert all(v == 0.0 for i, v in enumerate(first) if i not in (j0, j1))
+    # threshold 0.01: inside the band a joint settles after one emission, outside it does not
+    near = obs_for_joints(m, ((0.1 + 0.009, -0.3 - 0.011),))
+    stab.step(near)
+    second = stab.step(near)
+    assert second[j0] == 0.0 and second[j1] != 0.0
 
 
 def test_stabilizer_rejects_empty_or_mismatched_reference():
@@ -241,6 +250,12 @@ def test_stabilizer_rejects_empty_or_mismatched_reference():
         ArmStabilizer(m, ((0.1, 0.2, 0.3),))
 
 
+@pytest.mark.parametrize("kwargs", [{"velocity": 0.0}, {"velocity": 1.5}, {"threshold": 0.0}])
+def test_stabilizer_rejects_bad_velocity_or_threshold(kwargs):
+    with pytest.raises(ValueError):
+        ArmStabilizer(two_joint_map(), ((0.0, 0.0),), **kwargs)
+
+
 def test_stabilizer_at_reference_fires_once_then_goes_quiet():
     m = two_joint_map()
     stab = ArmStabilizer(m, ((0.1, -0.3),))
@@ -248,9 +263,9 @@ def test_stabilizer_at_reference_fires_once_then_goes_quiet():
     first = stab.step(obs)
     j0, j1 = m.arm_joint(0, 0), m.arm_joint(0, 1)
     assert abs(first[j0]) == stab.velocity and abs(first[j1]) == stab.velocity
-    assert all(c.done for c in stab.correctors)
-    second = stab.step(obs)
-    assert all(v == 0.0 for v in second)
+    assert all(v == 0.0 for i, v in enumerate(first) if i not in (j0, j1))
+    for _ in range(3):
+        assert all(v == 0.0 for v in stab.step(obs))
 
 
 def test_stabilizer_corrects_displaced_joint_toward_reference():
@@ -299,4 +314,100 @@ def test_stabilizer_constant_gain_mode():
 def test_stabilizer_dual_arm_reference():
     m = ActionIndexMap.for_robot(RobotConfig(arms=("left", "right"), joints_per_arm=2))
     stab = ArmStabilizer(m, ((0.0, 0.0), (0.1, 0.1)))
-    assert len(stab.correctors) == 4
+    obs = obs_for_joints(m, ((0.0, 0.0), (0.1, 0.1)))
+    first = stab.step(obs)
+    joint_slots = set(m.arm_joint_slots(0)) | set(m.arm_joint_slots(1))
+    assert len(joint_slots) == 4
+    assert all(abs(first[i]) == stab.velocity for i in joint_slots)
+    assert all(v == 0.0 for i, v in enumerate(first) if i not in joint_slots)
+    assert all(v == 0.0 for v in stab.step(obs))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_stabilizer_non_finite_joint_is_an_error(bad):
+    m = two_joint_map()
+    stab = ArmStabilizer(m, ((0.0, 0.0),))
+    with pytest.raises(SubTaskError, match="non-finite"):
+        stab.step(obs_for_joints(m, ((0.0, bad),)))
+
+
+def test_stabilizer_missing_joint_is_an_error():
+    m = ActionIndexMap.for_robot(RobotConfig(arms=("left", "right"), joints_per_arm=2))
+    stab = ArmStabilizer(m, ((0.0, 0.0), (0.0, 0.0)))
+    with pytest.raises(SubTaskError, match="not present"):
+        stab.step(obs_for_joints(m, ((0.0, 0.0),)))
+
+
+class CorrectorBankOracle:
+    """The stabilizer as first written: one re-arming MoveTo corrector per joint."""
+
+    def __init__(self, index_map, reference, velocity, decay, min_velocity=0.02, threshold=0.01):
+        self.dim = index_map.dim
+        self.velocity, self.decay, self.min_velocity = velocity, decay, min_velocity
+        self.steps_taken = 0
+        self.correctors = [
+            MoveTo(
+                active_index=index_map.index_of(f"{index_map.robot.arms[arm]}_arm_joint_{joint}"),
+                target=angle,
+                selector=arm_joint_selector(arm, joint),
+                action_dim=index_map.dim,
+                velocity=velocity,
+                threshold=threshold,
+            )
+            for arm, pose in enumerate(reference)
+            for joint, angle in enumerate(pose)
+        ]
+
+    def step(self, obs):
+        g = max(self.velocity * self.decay**self.steps_taken, self.min_velocity)
+        out = [0.0] * self.dim
+        for mt in self.correctors:
+            d = mt.distance(obs)
+            if mt.done and abs(d) >= mt.threshold:
+                mt.done = False
+            if not mt.done:
+                mt.velocity = g
+                act, _ = mt.step(obs)
+                out[mt.active_index] += act[mt.active_index]
+        self.steps_taken += 1
+        return tuple(out)
+
+
+@pytest.mark.parametrize("robot", [SINGLE_ARM, DUAL_ARM], ids=["one_arm", "two_arms"])
+@pytest.mark.parametrize("decay", [0.995, 1.0])
+def test_stabilizer_matches_corrector_bank_oracle(robot, decay):
+    m = ActionIndexMap.for_robot(robot)
+    rng = random.Random(f"{len(robot.arms)}:{decay}")
+    reference = tuple(tuple(rng.uniform(-1.5, 1.5) for _ in range(robot.joints_per_arm)) for _ in robot.arms)
+    stab = ArmStabilizer(m, reference, decay=decay)
+    oracle = CorrectorBankOracle(m, reference, velocity=0.2, decay=decay)
+    joints = [[q + rng.uniform(-0.05, 0.05) for q in pose] for pose in reference]
+    slots = [m.arm_joint_slots(arm) for arm in range(len(robot.arms))]
+    joint_slots = [i for arm in slots for i in arm]
+    previous = None
+    settles = rearms = 0
+    for _ in range(600):
+        obs = obs_for_joints(m, joints)
+        want, got = oracle.step(obs), stab.step(obs)
+        assert json.dumps(got) == json.dumps(want)  # same bytes, signed zeros included
+        if previous is not None:
+            settles += sum(1 for i in joint_slots if previous[i] != 0.0 and got[i] == 0.0)
+            rearms += sum(1 for i in joint_slots if previous[i] == 0.0 and got[i] != 0.0)
+        previous = got
+        # closed loop: the correction moves the joint, a seeded disturbance pushes it off
+        for arm, q in enumerate(joints):
+            for j in range(len(q)):
+                q[j] += got[slots[arm][j]] * 0.05 + rng.gauss(0.0, 0.008)
+    assert stab.steps_taken == oracle.steps_taken == 600
+    assert settles > 10 and rearms > 10  # the walk exercises both mask transitions
+
+
+def test_stabilizer_zero_gain_matches_oracle_bytes():
+    # decay 0 with no floor drops the gain to 0.0 after the first step; a
+    # zero emission must be +0.0, as a sum into a zero action gives
+    m = two_joint_map()
+    stab = ArmStabilizer(m, ((0.0, 0.0),), decay=0.0, min_velocity=0.0)
+    oracle = CorrectorBankOracle(m, ((0.0, 0.0),), velocity=0.2, decay=0.0, min_velocity=0.0)
+    for joints in (((0.5, -0.5),), ((0.4, -0.4),), ((0.3, -0.3),)):
+        obs = obs_for_joints(m, joints)
+        assert json.dumps(stab.step(obs)) == json.dumps(oracle.step(obs))
