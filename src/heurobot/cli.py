@@ -26,12 +26,15 @@ from .trajlog import format_report_table, read_summary, report_rows, write_summa
 
 
 def parse_seeds(text: str) -> list[int]:
-    """Seed list syntax: a single integer, an inclusive range A..B, or a comma list."""
+    """Seed list syntax: a single integer, an inclusive range A..B, or a comma list of distinct seeds."""
     text = text.strip()
     if not text:
         raise ValueError("empty seed list")
     if "," in text:
-        return [int(part) for part in text.split(",")]
+        seeds = [int(part) for part in text.split(",")]
+        if len(set(seeds)) != len(seeds):
+            raise ValueError(f"seed list {text!r} repeats a seed")
+        return seeds
     if ".." in text:
         lo_text, _, hi_text = text.partition("..")
         lo, hi = int(lo_text), int(hi_text)
@@ -74,12 +77,11 @@ def cmd_run(args: argparse.Namespace) -> int:
             print(f"error: plan is for {plan.task_kind!r}, not {args.task!r}", file=sys.stderr)
             return 2
         config = _load_config(args.config)
+        out_dir = Path(args.out)
+        out_dir.mkdir(parents=True, exist_ok=True)
     except (OSError, ValueError, PlanError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     batch = run_batch(args.task, plan, config, seeds, jobs=args.jobs)
     for result in batch.results:

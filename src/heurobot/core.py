@@ -3,8 +3,10 @@ environment and the episode runner.
 
 Actions are plain tuples of normalized command scalars. The convention for
 every slot is a unitless velocity in [-1, +1]; the environment scales it by
-its configured rates. Actions stay unclamped while controllers compose them
-and are clamped exactly once, at environment entry.
+its configured rates. Actions stay unclamped while controllers compose them.
+The environment clamps what it consumes; the episode runner clamps the same
+sum before logging it, so the logged action equals the consumed one
+(``clamp`` is idempotent).
 """
 
 from __future__ import annotations
@@ -146,18 +148,6 @@ class ActionIndexMap:
             return self._index[name]
         except KeyError:
             raise KeyError(f"unknown action slot {name!r}") from None
-
-    def name_of(self, index: int) -> str:
-        return self.slots[index]
-
-    def arm_joint(self, arm: int, joint: int) -> int:
-        return self.joint_slots[arm][joint]
-
-    def arm_joint_slots(self, arm: int) -> tuple[int, ...]:
-        return self.joint_slots[arm]
-
-    def finger_slot(self, arm: int) -> int:
-        return self.finger_slots[arm]
 
     def build(self, assignments: dict[str, float]) -> Action:
         """Action with the named slots set and every other component zero."""

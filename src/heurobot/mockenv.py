@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 from .core import (
     TASK_OBJECT,
@@ -219,21 +219,27 @@ class Carry:
 
 @dataclass
 class EnvState:
-    """Mutable simulation state; snapshot values themselves are immutable."""
+    """All mutable episode state; every observation is built from it.
 
-    robot: RobotState
-    object: ObjectAttributes
-    attachments: list[str | None]
-    step: int
-    noise_rng: random.Random
+    Restoring a (deep) copy of it restores the episode exactly, noise stream
+    included. Door and drawer keep ``object_xy``/``object_yaw`` at the
+    layout's cabinet pose; only their ``articulation`` moves.
+    """
+
     layout: Layout
-    articulation: float = 0.0
-    object_xy: tuple[float, float] = (0.0, 0.0)
-    object_yaw: float = 0.0
+    noise_rng: random.Random
+    platform: list[float]  # x, y, height (m), yaw (rad)
+    joints: list[list[float]]  # rad, one list per arm
+    fingers: tuple[Point3, ...]  # fingertips at the current pose, one per arm
+    attachments: list[str | None]
+    open_counts: list[int]  # per arm, consecutive opening commands while attached
+    object_xy: tuple[float, float]
+    object_yaw: float
     object_z: float = 0.0  # bucket base above ground
+    articulation: float = 0.0
     carry: Carry | None = None
-    open_counts: list[int] = field(default_factory=list)
-    prev_fingers: tuple[Point3, ...] = ()
+    step: int = 0
+    done: bool = False
 
 
 class MockEnv:
@@ -241,7 +247,8 @@ class MockEnv:
 
     ``step`` consumes one action vector and returns ``(observation, done)``;
     ``done`` is raised once the task's success predicate holds or the step
-    cap is reached.
+    cap is reached. All episode state lives in ``state``; the other
+    attributes are per-env constants.
     """
 
     def __init__(self, task_kind: str, config: EnvConfig | None = None):
@@ -256,7 +263,6 @@ class MockEnv:
         n = len(self.robot_config.arms)
         self._mounts = (0.0,) if n == 1 else tuple(ARM_MOUNT_Y if arm == 0 else -ARM_MOUNT_Y for arm in range(n))
         self.state: EnvState | None = None
-        self._done = False
 
     # ------------------------------------------------------------- reset
 
@@ -267,26 +273,19 @@ class MockEnv:
         layout = _sample_layout(self.task_kind, layout_rng)
 
         n_arms = len(self.robot_config.arms)
-        state = EnvState(
-            robot=None,  # type: ignore[arg-type]  # filled below
-            object=None,  # type: ignore[arg-type]
-            attachments=[None] * n_arms,
-            step=0,
-            noise_rng=noise_rng,
+        platform = [layout.robot_xy[0], layout.robot_xy[1], PLATFORM_SPAWN_HEIGHT, layout.robot_yaw]
+        joints = [list(READY_POSE) for _ in range(n_arms)]
+        self.state = EnvState(
             layout=layout,
-            object_xy=layout.object_xy if layout.object_xy else (0.0, 0.0),
-            object_yaw=layout.object_yaw,
-            object_z=0.0,
+            noise_rng=noise_rng,
+            platform=platform,
+            joints=joints,
+            fingers=self._compute_fingers(platform, joints),
+            attachments=[None] * n_arms,
             open_counts=[0] * n_arms,
+            object_xy=layout.object_xy,
+            object_yaw=layout.object_yaw,
         )
-        self.state = state
-        self._done = False
-        self._platform = [layout.robot_xy[0], layout.robot_xy[1], PLATFORM_SPAWN_HEIGHT, layout.robot_yaw]
-        self._joints = [list(READY_POSE) for _ in range(n_arms)]
-        fingers = self._compute_fingers()
-        state.prev_fingers = fingers
-        state.robot = self._robot_state(fingers)
-        state.object = self._object_attributes()
         return self._observation()
 
     # ------------------------------------------------------------- step
@@ -295,7 +294,7 @@ class MockEnv:
         state = self.state
         if state is None:
             raise RuntimeError("reset() must be called before step()")
-        if self._done:
+        if state.done:
             raise RuntimeError("episode already done; reset() to start a new one")
         if len(action) != self.index_map.dim:
             raise ValueError(f"action dimension {len(action)} != {self.index_map.dim}")
@@ -306,7 +305,7 @@ class MockEnv:
         lin = cfg.linear_velocity_scale * cfg.dt
         ang = cfg.angular_velocity_scale * cfg.dt
 
-        p = self._platform
+        p = state.platform
         p[0] += act[0] * lin
         p[1] += act[1] * lin
         p[3] = wrap_angle(p[3] + act[2] * ang)
@@ -315,24 +314,20 @@ class MockEnv:
         normal = state.noise_rng.normalvariate
         std = cfg.disturbance_std
         bound = NOISE_TRUNCATION * std
-        for q, slots, attached in zip(self._joints, self.index_map.joint_slots, state.attachments):
+        for q, slots, attached in zip(state.joints, self.index_map.joint_slots, state.attachments):
             q[:] = [x + act[slot] * ang for x, slot in zip(q, slots)]
             if attached is not None:
                 # reaction-force proxy: seeded noise on loaded arms only
                 noise = [normal(0.0, std) for _ in q]
                 q[:] = [x + (-bound if v < -bound else (bound if v > bound else v)) for x, v in zip(q, noise)]
 
-        fingers = self._compute_fingers()
+        fingers = self._compute_fingers(p, state.joints)
         self._update_object(fingers, lin)
         self._update_attachments(act, fingers)
-        state.prev_fingers = fingers
+        state.fingers = fingers
         state.step += 1
-
-        state.robot = self._robot_state(fingers)
-        state.object = self._object_attributes()
-        done = self.success() or state.step >= cfg.max_steps
-        self._done = done
-        return self._observation(), done
+        state.done = self.success() or state.step >= cfg.max_steps
+        return self._observation(), state.done
 
     # ------------------------------------------------------------- success
 
@@ -357,11 +352,11 @@ class MockEnv:
 
     # ------------------------------------------------------------- internals
 
-    def _compute_fingers(self) -> tuple[Point3, ...]:
-        px, py, ph, yaw = self._platform
+    def _compute_fingers(self, platform: list[float], joints: list[list[float]]) -> tuple[Point3, ...]:
+        px, py, ph, yaw = platform
         cos_y, sin_y = math.cos(yaw), math.sin(yaw)
         out = []
-        for q, mount in zip(self._joints, self._mounts):
+        for q, mount in zip(joints, self._mounts):
             reach, lateral, rise = finger_local(tuple(q), mount)
             out.append((px + cos_y * reach - sin_y * lateral, py + sin_y * reach + cos_y * lateral, ph + rise))
         return tuple(out)
@@ -375,13 +370,16 @@ class MockEnv:
         )
 
     def _update_object(self, fingers: tuple[Point3, ...], lin: float) -> None:
-        """Object pose response to the (pre-transition) attachment state."""
+        """Object pose response to the (pre-transition) attachment state.
+
+        ``state.fingers`` still holds the fingertips of the previous step.
+        """
         state = self.state
         lay = state.layout
         if self.object_kind in ("door", "drawer"):
             if state.attachments[0] is not None:
-                dx = fingers[0][0] - state.prev_fingers[0][0]
-                dy = fingers[0][1] - state.prev_fingers[0][1]
+                dx = fingers[0][0] - state.fingers[0][0]
+                dy = fingers[0][1] - state.fingers[0][1]
                 proj = dx * lay.axis[0] + dy * lay.axis[1]
                 if proj > 0.0:  # articulated joints ratchet; plans never push back
                     gain = 1.0 / lay.door_radius if self.object_kind == "door" else 1.0
@@ -390,7 +388,7 @@ class MockEnv:
         held = all(a is not None for a in state.attachments)
         if held and state.carry is not None:
             mid = self._mid_fingers(fingers)
-            yaw = self._platform[3]
+            yaw = state.platform[3]
             c, s = math.cos(yaw), math.sin(yaw)
             carry = state.carry
             state.object_xy = (
@@ -456,7 +454,7 @@ class MockEnv:
             and all(a is not None for a in state.attachments)
         ):
             mid = self._mid_fingers(fingers)
-            yaw = self._platform[3]
+            yaw = state.platform[3]
             c, s = math.cos(yaw), math.sin(yaw)
             ox, oy = state.object_xy
             state.carry = Carry(
@@ -479,44 +477,33 @@ class MockEnv:
         ox, oy = state.object_xy
         if self.object_kind == "bucket":
             # representative grip point: the rim point nearest the robot
-            dx = self._platform[0] - ox
-            dy = self._platform[1] - oy
+            dx = state.platform[0] - ox
+            dy = state.platform[1] - oy
             norm = math.hypot(dx, dy)
             ux, uy = (dx / norm, dy / norm) if norm > 1e-9 else (1.0, 0.0)
             return (ox + lay.rim_radius * ux, oy + lay.rim_radius * uy, state.object_z + lay.object_height)
         c, s = math.cos(state.object_yaw), math.sin(state.object_yaw)
         return (ox - c * CHAIR_GRIP_HALF_DEPTH, oy - s * CHAIR_GRIP_HALF_DEPTH, lay.grip_z)
 
-    def _robot_state(self, fingers: tuple[Point3, ...]) -> RobotState:
-        state = self.state
-        return RobotState(
-            platform_x=self._platform[0],
-            platform_y=self._platform[1],
-            platform_height=self._platform[2],
-            platform_yaw=self._platform[3],
-            arm_joints=tuple(map(tuple, self._joints)),
-            finger_positions=fingers,
-            grasping=tuple(a is not None for a in state.attachments),
-        )
-
-    def _object_attributes(self) -> ObjectAttributes:
-        state = self.state
-        lay = state.layout
-        kind = self.object_kind
-        articulated = kind in ("door", "drawer")
-        if articulated:
-            pose = (lay.object_xy[0], lay.object_xy[1], lay.object_yaw)
-        else:
-            pose = (state.object_xy[0], state.object_xy[1], state.object_yaw)
-        return ObjectAttributes(
-            kind=kind,
-            handle_position=self._handle_position(),
-            object_pose=pose,
-            size_extents=lay.extents,
-            articulation_value=state.articulation if articulated else None,
-            target_point=lay.target if kind in ("bucket", "chair") else None,
-        )
-
     def _observation(self) -> Observation:
         state = self.state
-        return Observation(robot=state.robot, object=state.object, step_index=state.step)
+        kind = self.object_kind
+        px, py, ph, yaw = state.platform
+        robot = RobotState(
+            platform_x=px,
+            platform_y=py,
+            platform_height=ph,
+            platform_yaw=yaw,
+            arm_joints=tuple(map(tuple, state.joints)),
+            finger_positions=state.fingers,
+            grasping=tuple(a is not None for a in state.attachments),
+        )
+        obj = ObjectAttributes(
+            kind=kind,
+            handle_position=self._handle_position(),
+            object_pose=(state.object_xy[0], state.object_xy[1], state.object_yaw),
+            size_extents=state.layout.extents,
+            articulation_value=state.articulation if kind in ("door", "drawer") else None,
+            target_point=state.layout.target,
+        )
+        return Observation(robot=robot, object=obj, step_index=state.step)

@@ -44,10 +44,14 @@ class EpisodeResult:
     seed: int
     success: bool
     steps: int
-    subtask_trace: tuple[int, ...]
     subtask_steps: tuple[int, ...]  # per plan entry, step() invocations
     trajectory: tuple[StepRecord, ...]
     error: str | None = None
+
+    @property
+    def subtask_trace(self) -> tuple[int, ...]:
+        """Index of the plan entry that produced each step's action."""
+        return tuple(rec.subtask_index for rec in self.trajectory)
 
 
 @dataclass(frozen=True, slots=True)
@@ -83,13 +87,12 @@ def run_episode(task_kind: str, plan: Plan, env_config: EnvConfig | None = None,
     try:
         subtasks = resolve(plan, obs)
     except Exception as e:  # noqa: BLE001 - episode failures must not kill a batch
-        return EpisodeResult(task_kind, seed, success=False, steps=0, subtask_trace=(), trajectory=(),
+        return EpisodeResult(task_kind, seed, success=False, steps=0, trajectory=(),
                              subtask_steps=(0,) * len(plan.entries), error=f"resolve: {e}")
     zeros = new_action(env.index_map.dim)
 
     stabilizer: ArmStabilizer | None = None
     idx = 0
-    trace: list[int] = []
     records: list[StepRecord] = []
     done = False
     error: str | None = None
@@ -116,14 +119,12 @@ def run_episode(task_kind: str, plan: Plan, env_config: EnvConfig | None = None,
             error = f"step {len(records)}: {e}"
             break
         records.append(record)
-        trace.append(idx)
 
     return EpisodeResult(
         task_kind=task_kind,
         seed=seed,
         success=env.success() and error is None,
         steps=len(records),
-        subtask_trace=tuple(trace),
         subtask_steps=tuple(0 if isinstance(st, StabilizerOn) else st.steps_taken for st in subtasks),
         trajectory=tuple(records),
         error=error,

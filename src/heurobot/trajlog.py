@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
+from .core import is_finite_number
 from .mockenv import EnvConfig
 from .orchestrator import BatchResult, EpisodeResult
 
@@ -97,13 +98,24 @@ def write_summary(path, batch: BatchResult, config: EnvConfig, plan_source: str,
 
 
 def read_summary(path) -> dict:
+    """Returns the summary document; raises ValueError on schema or type mismatch."""
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: summary JSON is nested too deeply") from None
     if not isinstance(doc, dict) or doc.get("kind") != "summary" or doc.get("schema_version") != SCHEMA_VERSION:
         raise ValueError(f"{path}: not a schema v{SCHEMA_VERSION} summary file")
     for key in ("task", "success_rate", "mean_steps", "episodes"):
         if key not in doc:
             raise ValueError(f"{path}: summary missing {key!r}")
+    if not isinstance(doc["task"], str):
+        raise ValueError(f"{path}: summary 'task' must be a string")
+    for key in ("success_rate", "mean_steps"):
+        if not is_finite_number(doc[key]):
+            raise ValueError(f"{path}: summary {key!r} must be a finite number")
+    if not isinstance(doc["episodes"], list) or not all(isinstance(e, dict) for e in doc["episodes"]):
+        raise ValueError(f"{path}: summary 'episodes' must be a list of objects")
     return doc
 
 

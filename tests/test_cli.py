@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -27,6 +28,8 @@ def test_parse_seeds():
         parse_seeds("9..2")
     with pytest.raises(ValueError):
         parse_seeds("abc")
+    with pytest.raises(ValueError, match="repeats"):
+        parse_seeds("1,2,1")
 
 
 def test_run_writes_logs_and_summary(tmp_path, capsys):
@@ -149,18 +152,33 @@ def test_report_skips_malformed_files_with_warnings(tmp_path, capsys):
     out = tmp_path / "runs"
     assert main(["run", "--task", "open_cabinet_door", "--seeds", "1..2", "--out", str(out), "--quiet"]) == 0
     capsys.readouterr()
-    junk = tmp_path / "junk.json"
-    junk.write_text("{not json")
-    summary = str(out / "open_cabinet_door_summary.json")
+    summary = out / "open_cabinet_door_summary.json"
+    doc = json.loads(summary.read_text())
+    junk_texts = {
+        "not_json": "{not json",
+        "nested_too_deep": "[" * 100000,
+        "episode_not_object": json.dumps({**doc, "episodes": [1]}),
+        "episodes_not_list": json.dumps({**doc, "episodes": 5}),
+        "rate_not_number": json.dumps({**doc, "success_rate": "a"}),
+        "steps_not_finite": json.dumps({**doc, "mean_steps": math.nan}),
+        "task_not_string": json.dumps({**doc, "task": 7}),
+    }
+    junk = []
+    for name, text in junk_texts.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(text)
+        junk.append(str(path))
 
-    rc = main(["report", summary, str(junk)])
+    rc = main(["report", str(summary), *junk])
     captured = capsys.readouterr()
     assert rc == 0
     assert "open_cabinet_door" in captured.out
-    assert captured.err.count("skipping") == 1
+    assert captured.err.count("warning: skipping") == len(junk)
 
-    rc = main(["report", str(junk)])
-    assert rc == 1
+    for path in junk:
+        rc = main(["report", path])
+        assert rc == 1
+        assert "warning: skipping" in capsys.readouterr().err
 
 
 def test_report_rejects_trajectory_files(tmp_path, capsys):
@@ -179,11 +197,19 @@ def test_report_rejects_trajectory_files(tmp_path, capsys):
         (None, {"dt": "0.05"}, []),
         (None, None, ["--jobs", "0"]),
         (None, "[" * 100000, []),
+        (None, None, ["--out", "{taken}"]),
+        (None, None, ["--seeds", "1,2,1"]),
     ],
-    ids=["string_steps", "door_goal_point_target", "string_dt", "zero_jobs", "config_nested_too_deep"],
+    ids=[
+        "string_steps", "door_goal_point_target", "string_dt", "zero_jobs", "config_nested_too_deep",
+        "out_is_a_file", "repeated_seed",
+    ],
 )
 def test_run_rejects_bad_input_with_one_error_line(tmp_path, entry_edit, config, extra):
     out = tmp_path / "o"
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    extra = [arg.format(taken=taken) for arg in extra]
     argv = ["run", "--task", "open_cabinet_door", "--seeds", "1", "--out", str(out), "--quiet", *extra]
     if entry_edit is not None:
         doc = json.loads(serialize_plan(builtin_plan("open_cabinet_door")))
@@ -202,3 +228,4 @@ def test_run_rejects_bad_input_with_one_error_line(tmp_path, entry_edit, config,
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
     assert "Traceback" not in proc.stderr
     assert not out.exists()
+    assert taken.read_text() == "not a directory\n"

@@ -115,16 +115,15 @@ def test_index_map_is_a_bijection(config):
     assert m.dim == config.action_dim
     assert sorted(m.index_of(name) for name in m.slots) == list(range(m.dim))
     for name in m.slots:
-        assert m.name_of(m.index_of(name)) == name
+        assert m.slots[m.index_of(name)] == name
 
 
 def test_index_map_arm_slots():
     single = ActionIndexMap.for_robot(SINGLE_ARM)
     assert not any("right" in s for s in single.slots)
     dual = ActionIndexMap.for_robot(DUAL_ARM)
-    assert dual.finger_slot(0) == 12
-    assert dual.finger_slot(1) == 21
-    assert dual.arm_joint(1, 0) == 13
+    assert dual.finger_slots == (12, 21)
+    assert dual.joint_slots[1][0] == 13
     with pytest.raises(KeyError):
         single.index_of("right_fingers")
 

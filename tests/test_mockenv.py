@@ -1,3 +1,4 @@
+import copy
 import math
 import random
 
@@ -13,6 +14,8 @@ from heurobot.mockenv import (
     READY_FINGER_FORWARD,
     READY_FINGER_RISE,
 )
+from heurobot.orchestrator import run_episode
+from heurobot.plans import builtin_plan
 
 QUIET = EnvConfig(disturbance_std=1e-12)  # effectively noise-free
 
@@ -132,20 +135,21 @@ def test_action_validation():
 # ------------------------------------------------------- grasp and objects
 
 
-def teleport_fingers_to_handle(env):
-    """Place the platform so the (ready-pose) fingertip coincides with the handle."""
-    hx, hy, hz = env.state.object.handle_position
-    yaw = env._platform[3]
-    env._platform[0] = hx - READY_FINGER_FORWARD * math.cos(yaw)
-    env._platform[1] = hy - READY_FINGER_FORWARD * math.sin(yaw)
-    env._platform[2] = hz - READY_FINGER_RISE
+def teleport_fingers_to_handle(env, obs):
+    """Place the platform so the (ready-pose) fingertip coincides with the handle seen in obs."""
+    hx, hy, hz = obs.object.handle_position
+    platform = env.state.platform
+    yaw = platform[3]
+    platform[0] = hx - READY_FINGER_FORWARD * math.cos(yaw)
+    platform[1] = hy - READY_FINGER_FORWARD * math.sin(yaw)
+    platform[2] = hz - READY_FINGER_RISE
 
 
 def test_drawer_pull_projects_displacement_onto_axis():
     # success disabled so the full 0.3 m pull can be observed end to end
     env = MockEnv("open_cabinet_drawer", EnvConfig(disturbance_std=1e-12, drawer_success_fraction=5.0))
-    env.reset(4)
-    teleport_fingers_to_handle(env)
+    obs = env.reset(4)
+    teleport_fingers_to_handle(env, obs)
     close = env.index_map.build({"left_fingers": 0.6})
     obs, _ = env.step(close)
     assert obs.robot.grasping == (True,)
@@ -161,8 +165,8 @@ def test_drawer_pull_projects_displacement_onto_axis():
 def test_drawer_articulation_never_decreases_and_clamps():
     # success disabled (fraction > 1 is unreachable) to drive into the hard stop
     env = MockEnv("open_cabinet_drawer", EnvConfig(disturbance_std=1e-12, drawer_success_fraction=5.0))
-    env.reset(9)
-    teleport_fingers_to_handle(env)
+    obs = env.reset(9)
+    teleport_fingers_to_handle(env, obs)
     env.step(env.index_map.build({"left_fingers": 0.6}))
     ax, ay = env.state.layout.axis
     pull = env.index_map.build({"platform_x": 0.8 * ax, "platform_y": 0.8 * ay})
@@ -179,8 +183,8 @@ def test_drawer_articulation_never_decreases_and_clamps():
 
 def test_door_articulation_scales_with_handle_radius():
     env = MockEnv("open_cabinet_door", QUIET)
-    env.reset(12)
-    teleport_fingers_to_handle(env)
+    obs = env.reset(12)
+    teleport_fingers_to_handle(env, obs)
     env.step(env.index_map.build({"left_fingers": 0.6}))
     lay = env.state.layout
     pull = env.index_map.build({"platform_x": 0.6 * lay.axis[0], "platform_y": 0.6 * lay.axis[1]})
@@ -190,8 +194,8 @@ def test_door_articulation_scales_with_handle_radius():
 
 def test_attach_requires_closing_and_proximity():
     env = MockEnv("open_cabinet_door", QUIET)
-    env.reset(2)
-    teleport_fingers_to_handle(env)
+    obs = env.reset(2)
+    teleport_fingers_to_handle(env, obs)
     obs, _ = env.step(env.index_map.build({"left_fingers": -0.5}))  # opening: no attach
     assert obs.robot.grasping == (False,)
     obs, _ = env.step(env.index_map.build({"left_fingers": 0.5}))
@@ -204,8 +208,8 @@ def test_attach_requires_closing_and_proximity():
 
 def test_detach_needs_sustained_opening():
     env = MockEnv("open_cabinet_door", QUIET)
-    env.reset(2)
-    teleport_fingers_to_handle(env)
+    obs = env.reset(2)
+    teleport_fingers_to_handle(env, obs)
     env.step(env.index_map.build({"left_fingers": 0.5}))
     open_cmd = env.index_map.build({"left_fingers": -0.5})
     for k in range(DETACH_OPEN_STEPS - 1):
@@ -224,11 +228,11 @@ def test_disturbance_only_hits_attached_arms():
     zero = (0.0,) * env.index_map.dim
     obs, _ = env.step(zero)
     assert obs.robot.arm_joints == obs0.robot.arm_joints
-    teleport_fingers_to_handle(env)
-    env.step(env.index_map.build({"left_fingers": 0.5}))
-    before = env.state.robot.arm_joints
+    teleport_fingers_to_handle(env, obs)
+    before, _ = env.step(env.index_map.build({"left_fingers": 0.5}))
+    assert before.robot.grasping == (True,)
     obs, _ = env.step(zero)
-    assert obs.robot.arm_joints != before
+    assert obs.robot.arm_joints != before.robot.arm_joints
 
 
 def test_no_teleportation_under_random_actions():
@@ -257,6 +261,24 @@ def test_no_teleportation_under_random_actions():
         if done:
             break
         prev = obs
+
+
+def test_restoring_a_state_copy_replays_the_episode_exactly():
+    # all mutable episode state, noise stream included, lives in env.state
+    logged = [rec.action for rec in run_episode("move_bucket", builtin_plan("move_bucket"), seed=21).trajectory]
+    env = MockEnv("move_bucket")
+    obs = env.reset(21)
+    k = 0
+    while obs.robot.grasping != (True, True):  # load both arms: every step then draws noise
+        obs, _ = env.step(logged[k])
+        k += 1
+    actions = logged[k : k + 20]
+    saved = copy.deepcopy(env.state)
+    first = [env.step(act) for act in actions]
+    env.state = saved
+    second = [env.step(act) for act in actions]
+    assert len(first) == 20 and second == first
+    assert all(o.robot.grasping == (True, True) for o, _ in first)
 
 
 def test_episode_caps_at_max_steps():

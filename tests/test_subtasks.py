@@ -228,7 +228,7 @@ def obs_for_joints(index_map, joints):
 def test_stabilizer_init_builds_one_corrector_per_joint():
     m = two_joint_map()
     stab = ArmStabilizer(m, ((0.1, -0.3),))
-    j0, j1 = m.arm_joint(0, 0), m.arm_joint(0, 1)
+    j0, j1 = m.joint_slots[0][0], m.joint_slots[0][1]
     # one channel per joint, each pushing toward its own reference angle
     first = stab.step(obs_for_joints(m, ((0.5, -0.5),)))
     assert first[j0] == -stab.velocity and first[j1] == stab.velocity
@@ -261,7 +261,7 @@ def test_stabilizer_at_reference_fires_once_then_goes_quiet():
     stab = ArmStabilizer(m, ((0.1, -0.3),))
     obs = obs_for_joints(m, ((0.1, -0.3),))
     first = stab.step(obs)
-    j0, j1 = m.arm_joint(0, 0), m.arm_joint(0, 1)
+    j0, j1 = m.joint_slots[0][0], m.joint_slots[0][1]
     assert abs(first[j0]) == stab.velocity and abs(first[j1]) == stab.velocity
     assert all(v == 0.0 for i, v in enumerate(first) if i not in (j0, j1))
     for _ in range(3):
@@ -273,9 +273,9 @@ def test_stabilizer_corrects_displaced_joint_toward_reference():
     stab = ArmStabilizer(m, ((0.0, 0.0),))
     obs = obs_for_joints(m, ((0.5, 0.0),))
     out = stab.step(obs)
-    assert out[m.arm_joint(0, 0)] == -stab.velocity  # pushes back down
+    assert out[m.joint_slots[0][0]] == -stab.velocity  # pushes back down
     # zero outside the stabilized joint slots
-    joint_slots = set(m.arm_joint_slots(0))
+    joint_slots = set(m.joint_slots[0])
     assert all(v == 0.0 for i, v in enumerate(out) if i not in joint_slots)
 
 
@@ -287,7 +287,7 @@ def test_stabilizer_rearms_after_convergence():
     assert all(v == 0.0 for v in stab.step(settled))
     disturbed = obs_for_joints(m, ((0.2, 0.0),))
     out = stab.step(disturbed)
-    assert out[m.arm_joint(0, 0)] != 0.0
+    assert out[m.joint_slots[0][0]] != 0.0
 
 
 def test_stabilizer_gain_decays_geometrically_with_floor():
@@ -297,7 +297,7 @@ def test_stabilizer_gain_decays_geometrically_with_floor():
     gains = []
     for _ in range(8):
         out = stab.step(obs)
-        gains.append(abs(out[m.arm_joint(0, 0)]))
+        gains.append(abs(out[m.joint_slots[0][0]]))
     assert gains[:4] == [pytest.approx(0.2 * 0.5**k) for k in range(4)]
     assert gains[-1] == 0.02  # floored
 
@@ -308,7 +308,7 @@ def test_stabilizer_constant_gain_mode():
     obs = obs_for_joints(m, ((1.0, 1.0),))
     for _ in range(5):
         out = stab.step(obs)
-        assert abs(out[m.arm_joint(0, 0)]) == 0.2
+        assert abs(out[m.joint_slots[0][0]]) == 0.2
 
 
 def test_stabilizer_dual_arm_reference():
@@ -316,7 +316,7 @@ def test_stabilizer_dual_arm_reference():
     stab = ArmStabilizer(m, ((0.0, 0.0), (0.1, 0.1)))
     obs = obs_for_joints(m, ((0.0, 0.0), (0.1, 0.1)))
     first = stab.step(obs)
-    joint_slots = set(m.arm_joint_slots(0)) | set(m.arm_joint_slots(1))
+    joint_slots = set(m.joint_slots[0]) | set(m.joint_slots[1])
     assert len(joint_slots) == 4
     assert all(abs(first[i]) == stab.velocity for i in joint_slots)
     assert all(v == 0.0 for i, v in enumerate(first) if i not in joint_slots)
@@ -382,7 +382,7 @@ def test_stabilizer_matches_corrector_bank_oracle(robot, decay):
     stab = ArmStabilizer(m, reference, decay=decay)
     oracle = CorrectorBankOracle(m, reference, velocity=0.2, decay=decay)
     joints = [[q + rng.uniform(-0.05, 0.05) for q in pose] for pose in reference]
-    slots = [m.arm_joint_slots(arm) for arm in range(len(robot.arms))]
+    slots = [m.joint_slots[arm] for arm in range(len(robot.arms))]
     joint_slots = [i for arm in slots for i in arm]
     previous = None
     settles = rearms = 0
