@@ -13,6 +13,7 @@ The output directory defaults to $HEUROBOT_OUT, then ``runs``.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -20,7 +21,7 @@ from pathlib import Path
 
 from .core import TASK_KINDS
 from .mockenv import EnvConfig
-from .orchestrator import run_batch
+from .orchestrator import EpisodeResult, run_batch
 from .plans import PlanError, builtin_plan, load_plan_file
 from .trajlog import format_report_table, read_summary, report_rows, write_summary, write_trajectory
 
@@ -57,6 +58,11 @@ def _load_config(path: str | None) -> EnvConfig:
     return EnvConfig.from_mapping(data)
 
 
+def _write_log(out_dir: Path, config: EnvConfig, plan_source: str, result: EpisodeResult) -> None:
+    """Write one episode's log; runs in the process that ran the episode."""
+    write_trajectory(out_dir / f"{result.task_kind}_seed{result.seed:05d}.jsonl", result, config, plan_source)
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     try:
         seeds = parse_seeds(args.seeds)
@@ -83,15 +89,18 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 2
 
-    batch = run_batch(args.task, plan, config, seeds, jobs=args.jobs)
-    for result in batch.results:
-        log_path = out_dir / f"{args.task}_seed{result.seed:05d}.jsonl"
-        write_trajectory(log_path, result, config, plan_source)
-        if not args.quiet:
+    write = functools.partial(_write_log, out_dir, config, plan_source)
+    summary_path = out_dir / f"{args.task}_summary.json"
+    try:
+        batch = run_batch(args.task, plan, config, seeds, jobs=args.jobs, write=write)
+        write_summary(summary_path, batch, config, plan_source, seeds)
+    except OSError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
+    if not args.quiet:
+        for result in batch.results:
             status = "ok" if result.success else ("error" if result.error else "fail")
             print(f"seed {result.seed}: {status} in {result.steps} steps")
-    summary_path = out_dir / f"{args.task}_summary.json"
-    write_summary(summary_path, batch, config, plan_source, seeds)
     print(
         f"{args.task}: {batch.success_rate:.3f} success rate over {len(seeds)} episodes "
         f"(mean {batch.mean_steps:.1f} steps) -> {summary_path}"

@@ -8,12 +8,19 @@ environment steps: enabling the stabilizer and stepping the next sub-task
 happen within the same iteration. A plan that cannot be resolved against the
 first observation, or an error inside a step, fails that episode with its
 ``error`` set; it never ends the batch.
+
+``run_batch`` can hand each finished episode to a ``write`` callable in the
+process that ran it (a pool worker at ``jobs > 1``); the batch then keeps the
+results without their trajectories, so only seed, outcome, step counts and
+error cross the process boundary.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
 
 from .core import Action, Observation, Point3, add, clamp, new_action
 from .mockenv import EnvConfig, MockEnv
@@ -131,9 +138,14 @@ def run_episode(task_kind: str, plan: Plan, env_config: EnvConfig | None = None,
     )
 
 
-def _episode_job(args: tuple[str, Plan, EnvConfig | None, int]) -> EpisodeResult:
-    task_kind, plan, env_config, seed = args
-    return run_episode(task_kind, plan, env_config, seed)
+def _episode_job(
+    task_kind: str, plan: Plan, env_config: EnvConfig | None, write: Callable[[EpisodeResult], None] | None, seed: int
+) -> EpisodeResult:
+    result = run_episode(task_kind, plan, env_config, seed)
+    if write is None:
+        return result
+    write(result)
+    return replace(result, trajectory=())
 
 
 def run_batch(
@@ -142,19 +154,28 @@ def run_batch(
     env_config: EnvConfig | None = None,
     seeds: list[int] | tuple[int, ...] = (),
     jobs: int = 1,
+    write: Callable[[EpisodeResult], None] | None = None,
 ) -> BatchResult:
-    """Run one episode per seed; results are reported sorted by seed."""
+    """Run one episode per seed; results are reported sorted by seed.
+
+    With ``write``, each episode is passed to it as soon as it ends, in the
+    process that ran it, and the batch keeps the result with an empty
+    ``trajectory``. ``write`` must be picklable when ``jobs > 1``; an error it
+    raises ends the batch. At most ``len(seeds)`` workers are started, and a
+    single worker runs in this process.
+    """
     seeds = list(seeds)
     if not seeds:
         raise ValueError("run_batch requires at least one seed")
     if jobs < 1:
         raise ValueError(f"run_batch requires jobs >= 1, got {jobs}")
+    job = partial(_episode_job, task_kind, plan, env_config, write)
+    jobs = min(jobs, len(seeds))
     if jobs > 1:
-        work = [(task_kind, plan, env_config, s) for s in seeds]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_episode_job, work))
+            results = list(pool.map(job, seeds))
     else:
-        results = [run_episode(task_kind, plan, env_config, s) for s in seeds]
+        results = [job(s) for s in seeds]
     results.sort(key=lambda r: r.seed)
     successes = sum(1 for r in results if r.success)
     mean_steps = sum(r.steps for r in results) / len(results)

@@ -10,6 +10,7 @@ import pytest
 import heurobot
 
 from heurobot.cli import main, parse_seeds
+from heurobot.core import TASK_KINDS
 from heurobot.plans import builtin_plan, serialize_plan
 from heurobot.trajlog import read_summary, read_trajectory
 
@@ -86,6 +87,21 @@ def test_rerun_is_byte_identical(tmp_path):
         assert rc == 0
     for name in run_dir_files(out_a):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+
+@pytest.mark.parametrize("task", TASK_KINDS)
+def test_jobs_do_not_change_any_output_byte(tmp_path, capsys, task):
+    stdout = {}
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}"
+        assert main(["run", "--task", task, "--seeds", "3,1,6,2,5", "--out", str(out), "--jobs", jobs]) == 0
+        stdout[jobs] = capsys.readouterr().out.replace(str(out), "OUT")
+    assert stdout["1"] == stdout["2"]
+    assert [line.split(":")[0] for line in stdout["1"].splitlines()[:5]] == [f"seed {s}" for s in (1, 2, 3, 5, 6)]
+    names = run_dir_files(tmp_path / "jobs1")
+    assert len(names) == 6 and names == run_dir_files(tmp_path / "jobs2")
+    for name in names:
+        assert (tmp_path / "jobs1" / name).read_bytes() == (tmp_path / "jobs2" / name).read_bytes()
 
 
 def test_out_dir_env_var_is_the_default(tmp_path, monkeypatch):
@@ -199,17 +215,25 @@ def test_report_rejects_trajectory_files(tmp_path, capsys):
         (None, "[" * 100000, []),
         (None, None, ["--out", "{taken}"]),
         (None, None, ["--seeds", "1,2,1"]),
+        (None, None, ["--out", "{log_is_a_dir}"]),
+        (None, None, ["--out", "{log_is_a_dir}", "--seeds", "0..3", "--jobs", "2"]),
+        (None, None, ["--out", "{summary_is_a_dir}"]),
     ],
     ids=[
         "string_steps", "door_goal_point_target", "string_dt", "zero_jobs", "config_nested_too_deep",
-        "out_is_a_file", "repeated_seed",
+        "out_is_a_file", "repeated_seed", "log_path_is_a_directory", "log_path_is_a_directory_jobs2",
+        "summary_path_is_a_directory",
     ],
 )
 def test_run_rejects_bad_input_with_one_error_line(tmp_path, entry_edit, config, extra):
     out = tmp_path / "o"
     taken = tmp_path / "taken"
     taken.write_text("not a directory\n")
-    extra = [arg.format(taken=taken) for arg in extra]
+    # output directories in which a path the run writes already exists as a directory
+    log_is_a_dir, summary_is_a_dir = tmp_path / "log_is_a_dir", tmp_path / "summary_is_a_dir"
+    (log_is_a_dir / "open_cabinet_door_seed00001.jsonl").mkdir(parents=True)
+    (summary_is_a_dir / "open_cabinet_door_summary.json").mkdir(parents=True)
+    extra = [arg.format(taken=taken, log_is_a_dir=log_is_a_dir, summary_is_a_dir=summary_is_a_dir) for arg in extra]
     argv = ["run", "--task", "open_cabinet_door", "--seeds", "1", "--out", str(out), "--quiet", *extra]
     if entry_edit is not None:
         doc = json.loads(serialize_plan(builtin_plan("open_cabinet_door")))

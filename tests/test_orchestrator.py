@@ -1,3 +1,7 @@
+import dataclasses
+import functools
+import os
+
 import pytest
 
 from heurobot import orchestrator
@@ -25,6 +29,12 @@ def hopeless_plan(task_kind="open_cabinet_door"):
             ),
         ),
     )
+
+
+def record_pid(directory, result):
+    """Test writer: appends the calling process id to one file per seed."""
+    with open(directory / f"seed{result.seed}", "a", encoding="utf-8") as fh:
+        fh.write(f"{os.getpid()}\n")
 
 
 def test_episode_stops_when_all_subtasks_finish():
@@ -199,3 +209,55 @@ def test_custom_env_config_flows_through():
     cfg = EnvConfig(max_steps=30)
     result = run_episode("open_cabinet_door", hopeless_plan(), cfg, seed=1)
     assert result.steps == 30
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_batch_with_writer_keeps_results_without_trajectories(tmp_path, jobs):
+    plan = builtin_plan("move_bucket")
+    full = run_batch("move_bucket", plan, None, [4, 1, 3])
+    kept = run_batch("move_bucket", plan, None, [4, 1, 3], jobs=jobs, write=functools.partial(record_pid, tmp_path))
+    assert all(r.trajectory for r in full.results)
+    assert kept == dataclasses.replace(full, results=tuple(dataclasses.replace(r, trajectory=()) for r in full.results))
+
+
+def test_writer_receives_each_full_episode():
+    plan = builtin_plan("open_cabinet_door")
+    written = []
+    run_batch("open_cabinet_door", plan, None, [2, 1], write=written.append)
+    assert [r.seed for r in written] == [2, 1]
+    assert sorted(written, key=lambda r: r.seed) == list(run_batch("open_cabinet_door", plan, None, [2, 1]).results)
+
+
+def test_parallel_writer_runs_once_per_seed_and_never_in_the_parent(tmp_path):
+    seeds = [2, 7, 5, 1]
+    run_batch("open_cabinet_door", idle_plan(), None, seeds, jobs=2, write=functools.partial(record_pid, tmp_path))
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(f"seed{s}" for s in seeds)
+    for seed in seeds:
+        pids = (tmp_path / f"seed{seed}").read_text().split()
+        assert len(pids) == 1 and int(pids[0]) != os.getpid()
+
+
+def test_batch_never_starts_more_workers_than_seeds(monkeypatch):
+    started = []
+
+    class RecordingPool:
+        """Stands in for ProcessPoolExecutor: records the worker count, runs jobs in this process."""
+
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(orchestrator, "ProcessPoolExecutor", RecordingPool)
+    run_batch("open_cabinet_door", idle_plan(), None, [1], jobs=64)
+    assert started == []
+    batch = run_batch("open_cabinet_door", idle_plan(), None, [1, 2, 3], jobs=64)
+    assert started == [3]
+    assert [r.seed for r in batch.results] == [1, 2, 3]
