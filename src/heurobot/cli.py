@@ -19,10 +19,10 @@ import os
 import sys
 from pathlib import Path
 
-from .core import TASK_KINDS
+from .core import TASK_KINDS, loads_json
 from .mockenv import EnvConfig
 from .orchestrator import EpisodeResult, run_batch
-from .plans import PlanError, builtin_plan, load_plan_file
+from .plans import PlanError, builtin_plan, load_plan
 from .trajlog import format_report_table, read_summary, report_rows, write_summary, write_trajectory
 
 
@@ -48,11 +48,7 @@ def parse_seeds(text: str) -> list[int]:
 def _load_config(path: str | None) -> EnvConfig:
     if path is None:
         return EnvConfig()
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except RecursionError:
-            raise ValueError(f"{path}: config JSON is nested too deeply") from None
+    data = loads_json(Path(path).read_text(encoding="utf-8"), path)
     if not isinstance(data, dict):
         raise ValueError(f"{path}: config must be a JSON object")
     return EnvConfig.from_mapping(data)
@@ -77,7 +73,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             plan = builtin_plan(args.task)
             plan_source = "builtin"
         else:
-            plan = load_plan_file(args.plan)
+            plan = load_plan(Path(args.plan).read_text(encoding="utf-8"))
             plan_source = str(args.plan)
         if plan.task_kind != args.task:
             print(f"error: plan is for {plan.task_kind!r}, not {args.task!r}", file=sys.stderr)

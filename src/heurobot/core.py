@@ -11,6 +11,7 @@ sum before logging it, so the logged action equals the consumed one
 
 from __future__ import annotations
 
+import json
 import math
 import sys
 from dataclasses import dataclass, field
@@ -70,6 +71,14 @@ def one_hot(dim: int, index: int, value: float) -> Action:
 def is_finite_number(value: object) -> bool:
     """True for an int or float that converts to a finite float; bools are not numbers."""
     return type(value) in (int, float) and abs(value) <= sys.float_info.max
+
+
+def loads_json(text: str, source: object) -> object:
+    """``json.loads`` that reports nesting too deep for the parser as a ValueError, like any other bad JSON."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError(f"{source}: JSON is nested too deeply") from None
 
 
 def wrap_angle(angle: float) -> float:
@@ -155,12 +164,6 @@ class ActionIndexMap:
         for name, value in assignments.items():
             out[self.index_of(name)] = float(value)
         return tuple(out)
-
-
-def index_map_for_task(task_kind: str) -> ActionIndexMap:
-    if task_kind not in TASK_ROBOT:
-        raise ValueError(f"unknown task kind {task_kind!r}")
-    return ActionIndexMap.for_robot(TASK_ROBOT[task_kind])
 
 
 @dataclass(frozen=True, slots=True)

@@ -107,9 +107,8 @@ def run_episode(task_kind: str, plan: Plan, env_config: EnvConfig | None = None,
     while not done:
         while idx < len(subtasks):
             st = subtasks[idx]
-            if isinstance(st, StabilizerOn):
-                if stabilizer is None:
-                    stabilizer = ArmStabilizer(env.index_map, obs.robot.arm_joints)
+            if isinstance(st, StabilizerOn):  # a plan has at most one, and each entry is passed once
+                stabilizer = ArmStabilizer(env.index_map, obs.robot.arm_joints)
             elif not st.done:
                 break
             idx += 1

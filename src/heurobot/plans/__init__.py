@@ -7,23 +7,25 @@ numbers or expressions from the closed vocabulary in ``TARGETS``,
 evaluated once against the first observation of an episode: later object
 motion never retargets a sub-task.
 
-A ``Plan`` is checked in full when it is constructed, whether it comes
-from a document or from code, so ``resolve`` only instantiates it.
+``parse_plan`` checks a document once into frozen entries, defaults filled
+in; ``resolve`` only evaluates targets and builds controllers.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from importlib import resources
-from typing import Callable, NamedTuple
+from typing import Callable, ClassVar, NamedTuple
 
 from ..core import (
     TASK_KINDS,
     TASK_OBJECT,
+    TASK_ROBOT,
+    Action,
+    ActionIndexMap,
     Observation,
-    index_map_for_task,
     is_finite_number,
     wrap_angle,
 )
@@ -128,108 +130,139 @@ def eval_target(target: float | str, obs: Observation) -> float:
 # ------------------------------------------------------------------ plans
 
 
+# Entries hold names, numbers and indices, never selector callables, so a
+# ``Plan`` pickles to pool workers.
 @dataclass(frozen=True)
 class StabilizerOn:
-    """Resolved marker: switch the arm stabilizer on at the current pose."""
+    """Marker entry: switch the arm stabilizer on at the current pose."""
 
-    label: str = "stabilizer_on"
+    kind: ClassVar[str] = MARKER_KIND
+    label: str
 
 
 @dataclass(frozen=True)
-class PlanEntry:
-    """One sub-task as written; checked by the ``Plan`` that holds it."""
-
-    kind: str
+class MoveStepsSpec:
+    kind: ClassVar[str] = "move_steps"
     label: str
-    action: dict[str, float] | None = None
-    steps: int | None = None
-    slot: str | None = None
-    selector: str | None = None
-    target: float | str | None = None
-    velocity: float | None = None
-    threshold: float | None = None
+    action: dict[str, float]  # as written
+    steps: int
+    vector: Action  # ``action`` as an action vector
 
 
-ENTRY_KEYS = frozenset(f.name for f in fields(PlanEntry))
+@dataclass(frozen=True)
+class MoveToSpec:
+    kind: ClassVar[str] = "move_to"
+    label: str
+    slot: str
+    selector: str
+    target: float | str  # as written; evaluated by ``resolve``
+    velocity: float
+    threshold: float
+    index: int  # of ``slot`` in the action vector
+
+
+PlanEntry = StabilizerOn | MoveStepsSpec | MoveToSpec
 
 
 @dataclass(frozen=True)
 class Plan:
-    """Ordered sub-task list for one task kind, valid by construction.
-
-    Construction raises ``PlanError`` unless every entry uses its kind's
-    fields with the JSON types they need (numbers finite and not bools,
-    ``steps`` an integer >= 1), names action slots of the task's robot and
-    known selectors, and uses goal-point targets only on tasks that have a
-    goal point.
-    """
+    """Ordered sub-task list for one task kind, as built by ``parse_plan``."""
 
     task_kind: str
     entries: tuple[PlanEntry, ...]
-
-    def __post_init__(self) -> None:
-        if self.task_kind not in TASK_KINDS:
-            raise PlanError(f"unknown task kind {self.task_kind!r}")
-        if not self.entries:
-            raise PlanError("plan has no entries")
-        slots = index_map_for_task(self.task_kind).slots
-        has_goal_point = TASK_OBJECT[self.task_kind] in GOAL_POINT_OBJECTS
-        markers = 0
-        for i, e in enumerate(self.entries):
-            where = f"entry {i} ({e.label!r})"
-            if not isinstance(e.kind, str) or e.kind not in ENTRY_FIELDS:
-                raise PlanError(f"{where}: unknown kind {e.kind!r}")
-            if not isinstance(e.label, str) or not e.label:
-                raise PlanError(f"{where}: label must be a non-empty string")
-            foreign = ENTRY_KEYS - {"kind", "label", *ENTRY_FIELDS[e.kind]}
-            stray = sorted(k for k in foreign if getattr(e, k) is not None)
-            if stray:
-                raise PlanError(f"{where}: unknown keys {stray} for kind {e.kind!r}")
-            if e.kind == MARKER_KIND:
-                markers += 1
-                if markers > 1:
-                    raise PlanError(f"{where}: duplicate stabilizer_on marker")
-            elif e.kind == "move_steps":
-                if type(e.steps) is not int or e.steps < 1:
-                    raise PlanError(f"{where}: move_steps requires integer steps >= 1, got {e.steps!r}")
-                if e.action is not None and not isinstance(e.action, dict):
-                    raise PlanError(f"{where}: action must map slot names to numbers")
-                for name, value in (e.action or {}).items():
-                    if name not in slots:
-                        raise PlanError(f"{where}: unknown action slot {name!r}")
-                    if not is_finite_number(value):
-                        raise PlanError(f"{where}: action value for {name!r} must be a finite number, got {value!r}")
-            else:
-                if e.slot not in slots:
-                    raise PlanError(f"{where}: unknown action slot {e.slot!r}")
-                if not isinstance(e.selector, str):
-                    raise PlanError(f"{where}: selector must be a string, got {e.selector!r}")
-                try:
-                    get_selector(e.selector)
-                    rule = _parse_target(e.target)[0] if isinstance(e.target, str) else None
-                except ValueError as err:
-                    raise PlanError(f"{where}: {err}") from None
-                if rule is None and not is_finite_number(e.target):
-                    raise PlanError(f"{where}: target must be a finite number or an expression, got {e.target!r}")
-                if rule is not None and rule.goal_point and not has_goal_point:
-                    raise PlanError(
-                        f"{where}: target {e.target!r} needs a goal point; only move_bucket and push_chair have one"
-                    )
-                if e.velocity is not None and not (is_finite_number(e.velocity) and 0.0 < e.velocity <= 1.0):
-                    raise PlanError(f"{where}: velocity must be a number in (0, 1], got {e.velocity!r}")
-                if e.threshold is not None and not (is_finite_number(e.threshold) and e.threshold > 0.0):
-                    raise PlanError(f"{where}: threshold must be a positive finite number, got {e.threshold!r}")
 
     @property
     def executable_entries(self) -> tuple[PlanEntry, ...]:
         return tuple(e for e in self.entries if e.kind != MARKER_KIND)
 
 
+def parse_plan(doc: object) -> Plan:
+    """Check a decoded plan document once and build its typed entries.
+
+    Raises ``PlanError`` unless every entry uses its kind's fields with the
+    JSON types they need (numbers finite and not bools, ``steps`` an integer
+    >= 1), names slots and joints of the task's robot and known selectors,
+    and uses goal-point targets only on tasks that have a goal point.
+    """
+    if not isinstance(doc, dict):
+        raise PlanError("plan document must be a JSON object")
+    version = doc.get("schema_version", PLAN_SCHEMA_VERSION)
+    if type(version) is not int or version != PLAN_SCHEMA_VERSION:
+        raise PlanError(f"unsupported plan schema_version {version!r}")
+    entries_obj = doc.get("entries")
+    if not isinstance(entries_obj, list):
+        raise PlanError("plan document requires an 'entries' list")
+    task_kind = doc.get("task_kind")
+    if task_kind not in TASK_KINDS:
+        raise PlanError(f"unknown task kind {task_kind!r}")
+    if not entries_obj:
+        raise PlanError("plan has no entries")
+    index_map = ActionIndexMap.for_robot(TASK_ROBOT[task_kind])
+    has_goal_point = TASK_OBJECT[task_kind] in GOAL_POINT_OBJECTS
+    entries: list[PlanEntry] = []
+    for i, obj in enumerate(entries_obj):
+        if not isinstance(obj, dict):
+            raise PlanError(f"entry {i}: expected an object, got {type(obj).__name__}")
+        kind = obj.get("kind")
+        label = obj.get("label", kind)
+        where = f"entry {i} ({label!r})"
+        if not isinstance(kind, str) or kind not in ENTRY_FIELDS:
+            raise PlanError(f"{where}: unknown kind {kind!r}")
+        if not isinstance(label, str) or not label:
+            raise PlanError(f"{where}: label must be a non-empty string")
+        stray = sorted(set(obj) - {"kind", "label", *ENTRY_FIELDS[kind]})
+        if stray:
+            raise PlanError(f"{where}: unknown keys {stray} for kind {kind!r}")
+        if kind == MARKER_KIND:
+            if any(e.kind == MARKER_KIND for e in entries):
+                raise PlanError(f"{where}: duplicate stabilizer_on marker")
+            entries.append(StabilizerOn(label))
+        elif kind == "move_steps":
+            steps, action = obj.get("steps"), obj.get("action", {})
+            if type(steps) is not int or steps < 1:
+                raise PlanError(f"{where}: move_steps requires integer steps >= 1, got {steps!r}")
+            if not isinstance(action, dict):
+                raise PlanError(f"{where}: action must map slot names to numbers")
+            for name, value in action.items():
+                if name not in index_map.slots:
+                    raise PlanError(f"{where}: unknown action slot {name!r}")
+                if not is_finite_number(value):
+                    raise PlanError(f"{where}: action value for {name!r} must be a finite number, got {value!r}")
+            entries.append(MoveStepsSpec(label, action, steps, index_map.build(action)))
+        else:
+            slot, selector, target = obj.get("slot"), obj.get("selector"), obj.get("target")
+            if slot not in index_map.slots:
+                raise PlanError(f"{where}: unknown action slot {slot!r}")
+            if not isinstance(selector, str):
+                raise PlanError(f"{where}: selector must be a string, got {selector!r}")
+            try:
+                get_selector(selector)
+                rule = _parse_target(target)[0] if isinstance(target, str) else None
+            except ValueError as err:
+                raise PlanError(f"{where}: {err}") from None
+            if "_arm_joint_" in selector and selector not in index_map.slots:  # joint selectors are named as slots
+                raise PlanError(f"{where}: selector {selector!r} names a joint the task's robot does not have")
+            if rule is None and not is_finite_number(target):
+                raise PlanError(f"{where}: target must be a finite number or an expression, got {target!r}")
+            if rule is not None and rule.goal_point and not has_goal_point:
+                raise PlanError(
+                    f"{where}: target {target!r} needs a goal point; only move_bucket and push_chair have one"
+                )
+            velocity = obj.get("velocity", DEFAULT_VELOCITY)
+            if not (is_finite_number(velocity) and 0.0 < velocity <= 1.0):
+                raise PlanError(f"{where}: velocity must be a number in (0, 1], got {velocity!r}")
+            threshold = obj.get("threshold", DEFAULT_THRESHOLDS.get(slot, DEFAULT_THRESHOLD))
+            if not (is_finite_number(threshold) and threshold > 0.0):
+                raise PlanError(f"{where}: threshold must be a positive finite number, got {threshold!r}")
+            entries.append(MoveToSpec(label, slot, selector, target, velocity, threshold, index_map.index_of(slot)))
+    return Plan(task_kind, tuple(entries))
+
+
 def resolve(plan: Plan, init_obs: Observation) -> list[MoveSteps | MoveTo | StabilizerOn]:
     """Instantiate a plan's sub-tasks against the initial observation.
 
     Targets are evaluated exactly once, here; the returned controllers are
-    fresh state machines owned by the calling episode.
+    fresh state machines owned by the calling episode. Markers pass through.
     """
     expected = TASK_OBJECT[plan.task_kind]
     if init_obs.object.kind != expected:
@@ -237,34 +270,25 @@ def resolve(plan: Plan, init_obs: Observation) -> list[MoveSteps | MoveTo | Stab
             f"plan for {plan.task_kind!r} got an observation of a {init_obs.object.kind!r} "
             f"(expected {expected!r})"
         )
-    index_map = index_map_for_task(plan.task_kind)
+    dim = TASK_ROBOT[plan.task_kind].action_dim
     out: list[MoveSteps | MoveTo | StabilizerOn] = []
     for entry in plan.entries:
-        if entry.kind == MARKER_KIND:
-            out.append(StabilizerOn(label=entry.label))
-        elif entry.kind == "move_steps":
+        if isinstance(entry, MoveStepsSpec):
+            out.append(MoveSteps(fixed_action=entry.vector, num_steps=entry.steps, label=entry.label))
+        elif isinstance(entry, MoveToSpec):
             out.append(
-                MoveSteps(
-                    fixed_action=index_map.build(entry.action or {}),
-                    num_steps=entry.steps,
+                MoveTo(
+                    active_index=entry.index,
+                    target=eval_target(entry.target, init_obs),
+                    selector=get_selector(entry.selector),
+                    action_dim=dim,
+                    velocity=entry.velocity,
+                    threshold=entry.threshold,
                     label=entry.label,
                 )
             )
         else:
-            threshold = entry.threshold
-            if threshold is None:
-                threshold = DEFAULT_THRESHOLDS.get(entry.slot, DEFAULT_THRESHOLD)
-            out.append(
-                MoveTo(
-                    active_index=index_map.index_of(entry.slot),
-                    target=eval_target(entry.target, init_obs),
-                    selector=get_selector(entry.selector),
-                    action_dim=index_map.dim,
-                    velocity=entry.velocity if entry.velocity is not None else DEFAULT_VELOCITY,
-                    threshold=threshold,
-                    label=entry.label,
-                )
-            )
+            out.append(entry)
     return out
 
 
@@ -272,7 +296,7 @@ def resolve(plan: Plan, init_obs: Observation) -> list[MoveSteps | MoveTo | Stab
 
 
 def load_plan(text: str) -> Plan:
-    """Parse a plan document into a checked ``Plan``; errors carry position info."""
+    """Decode a plan document and parse it; errors carry position info."""
     if not text.strip():
         raise PlanError("empty plan document")
     try:
@@ -281,40 +305,14 @@ def load_plan(text: str) -> Plan:
         raise PlanError(f"invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}") from None
     except (ValueError, RecursionError) as e:  # over-long integer literal, nesting too deep
         raise PlanError(f"invalid JSON: {e}") from None
-    if not isinstance(doc, dict):
-        raise PlanError("plan document must be a JSON object")
-    version = doc.get("schema_version", PLAN_SCHEMA_VERSION)
-    if version != PLAN_SCHEMA_VERSION:
-        raise PlanError(f"unsupported plan schema_version {version!r}")
-    entries_obj = doc.get("entries")
-    if not isinstance(entries_obj, list):
-        raise PlanError("plan document requires an 'entries' list")
-    entries = []
-    for i, obj in enumerate(entries_obj):
-        if not isinstance(obj, dict):
-            raise PlanError(f"entry {i}: expected an object, got {type(obj).__name__}")
-        unknown = set(obj) - ENTRY_KEYS
-        if unknown:
-            raise PlanError(f"entry {i}: unknown keys {sorted(unknown)}")
-        kind = obj.get("kind")
-        entries.append(PlanEntry(**{**obj, "kind": kind, "label": obj.get("label", kind)}))
-    return Plan(task_kind=doc.get("task_kind"), entries=tuple(entries))
-
-
-def load_plan_file(path) -> Plan:
-    with open(path, "r", encoding="utf-8") as fh:
-        return load_plan(fh.read())
+    return parse_plan(doc)
 
 
 def serialize_plan(plan: Plan) -> str:
-    entries = []
-    for e in plan.entries:
-        obj: dict = {"kind": e.kind, "label": e.label}
-        for key in ENTRY_FIELDS[e.kind]:
-            value = getattr(e, key)
-            if value is not None:
-                obj[key] = value
-        entries.append(obj)
+    entries = [
+        {"kind": e.kind, "label": e.label, **{key: getattr(e, key) for key in ENTRY_FIELDS[e.kind]}}
+        for e in plan.entries
+    ]
     doc = {"schema_version": PLAN_SCHEMA_VERSION, "task_kind": plan.task_kind, "entries": entries}
     return json.dumps(doc, indent=2) + "\n"
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .core import is_finite_number
+from .core import is_finite_number, loads_json
 from .mockenv import EnvConfig
 from .orchestrator import BatchResult, EpisodeResult
 
@@ -62,16 +62,22 @@ def write_trajectory(path, result: EpisodeResult, config: EnvConfig, plan_source
             fh.write(line + "\n")
 
 
+def _is_schema(doc: object, kind: str) -> bool:
+    """True for a ``kind`` document of this schema; ``true`` and ``1.0`` are not version 1."""
+    version = doc.get("schema_version") if isinstance(doc, dict) else None
+    return type(version) is int and version == SCHEMA_VERSION and doc.get("kind") == kind
+
+
 def read_trajectory(path) -> tuple[dict, list[dict]]:
-    """Returns (header, records); raises ValueError on schema mismatch."""
+    """Returns (header, records); raises ValueError on schema mismatch or unreadable JSON."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = [line for line in fh.read().splitlines() if line]
     if not lines:
         raise ValueError(f"{path}: empty trajectory file")
-    header = json.loads(lines[0])
-    if header.get("kind") != "trajectory" or header.get("schema_version") != SCHEMA_VERSION:
+    header, *records = [loads_json(line, path) for line in lines]
+    if not _is_schema(header, "trajectory"):
         raise ValueError(f"{path}: not a schema v{SCHEMA_VERSION} trajectory file")
-    return header, [json.loads(line) for line in lines[1:]]
+    return header, records
 
 
 def summary_payload(batch: BatchResult, config: EnvConfig, plan_source: str, seeds: list[int]) -> dict:
@@ -100,11 +106,8 @@ def write_summary(path, batch: BatchResult, config: EnvConfig, plan_source: str,
 def read_summary(path) -> dict:
     """Returns the summary document; raises ValueError on schema or type mismatch."""
     with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except RecursionError:
-            raise ValueError(f"{path}: summary JSON is nested too deeply") from None
-    if not isinstance(doc, dict) or doc.get("kind") != "summary" or doc.get("schema_version") != SCHEMA_VERSION:
+        doc = loads_json(fh.read(), path)
+    if not _is_schema(doc, "summary"):
         raise ValueError(f"{path}: not a schema v{SCHEMA_VERSION} summary file")
     for key in ("task", "success_rate", "mean_steps", "episodes"):
         if key not in doc:

@@ -178,6 +178,7 @@ def test_report_skips_malformed_files_with_warnings(tmp_path, capsys):
         "rate_not_number": json.dumps({**doc, "success_rate": "a"}),
         "steps_not_finite": json.dumps({**doc, "mean_steps": math.nan}),
         "task_not_string": json.dumps({**doc, "task": 7}),
+        "schema_version_true": json.dumps({**doc, "schema_version": True}),
     }
     junk = []
     for name, text in junk_texts.items():
@@ -195,6 +196,23 @@ def test_report_skips_malformed_files_with_warnings(tmp_path, capsys):
         rc = main(["report", path])
         assert rc == 1
         assert "warning: skipping" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "header",
+    [
+        '{"kind": "trajectory", "schema_version": true}',
+        '{"kind": "trajectory", "schema_version": 1.0}',
+        "[1]",
+        "[" * 100000,
+    ],
+    ids=["schema_version_true", "schema_version_float", "header_not_object", "nested_too_deep"],
+)
+def test_read_trajectory_rejects_malformed_files_with_value_error(tmp_path, header):
+    path = tmp_path / "bad.jsonl"
+    path.write_text(header + "\n")
+    with pytest.raises(ValueError):
+        read_trajectory(path)
 
 
 def test_report_rejects_trajectory_files(tmp_path, capsys):

@@ -6,29 +6,26 @@ import pytest
 
 from heurobot import orchestrator
 from heurobot.core import TASK_KINDS
-from heurobot.mockenv import EnvConfig
+from heurobot.mockenv import EnvConfig, MockEnv
 from heurobot.orchestrator import replay_actions, run_batch, run_episode
-from heurobot.plans import Plan, PlanEntry, PlanError, builtin_plan
+from heurobot.plans import PlanError, builtin_plan, parse_plan
 
 
 def idle_plan(task_kind="open_cabinet_door", steps=5):
-    return Plan(
-        task_kind=task_kind,
-        entries=(PlanEntry(kind="move_steps", label="idle", action=None, steps=steps),),
-    )
+    return parse_plan({"task_kind": task_kind, "entries": [{"kind": "move_steps", "label": "idle", "steps": steps}]})
 
 
 def hopeless_plan(task_kind="open_cabinet_door"):
     # target far beyond anything reachable: never converges
-    return Plan(
-        task_kind=task_kind,
-        entries=(
-            PlanEntry(
-                kind="move_to", label="chase_horizon", slot="platform_x",
-                selector="platform_x", target=1.0e6, velocity=1.0, threshold=0.01,
-            ),
-        ),
-    )
+    return parse_plan({
+        "task_kind": task_kind,
+        "entries": [
+            {
+                "kind": "move_to", "label": "chase_horizon", "slot": "platform_x",
+                "selector": "platform_x", "target": 1.0e6, "velocity": 1.0, "threshold": 0.01,
+            },
+        ],
+    })
 
 
 def record_pid(directory, result):
@@ -112,17 +109,12 @@ def test_plan_task_mismatch_is_rejected():
         run_episode("push_chair", builtin_plan("move_bucket"), None, seed=0)
 
 
-def test_subtask_errors_become_failed_results():
-    plan = Plan(
-        task_kind="open_cabinet_door",
-        entries=(
-            PlanEntry(
-                kind="move_to", label="phantom_arm", slot="platform_x",
-                selector="right_arm_joint_0", target=0.0,
-            ),
-        ),
-    )
-    result = run_episode("open_cabinet_door", plan, None, seed=1)
+def test_subtask_errors_become_failed_results(monkeypatch):
+    def broken_step(self, action):
+        raise RuntimeError("actuator fault")
+
+    monkeypatch.setattr(MockEnv, "step", broken_step)
+    result = run_episode("open_cabinet_door", idle_plan(), None, seed=1)
     assert not result.success
     assert result.error is not None and "step 0" in result.error
     assert result.steps == 0

@@ -1,19 +1,21 @@
 import json
 import math
 import random
+import re
+from importlib import resources
+from pathlib import Path
 
 import pytest
 
 from heurobot.core import TASK_KINDS
 from heurobot.orchestrator import run_episode
 from heurobot.plans import (
-    Plan,
-    PlanEntry,
     PlanError,
     StabilizerOn,
     builtin_plan,
     eval_target,
     load_plan,
+    parse_plan,
     resolve,
     serialize_plan,
 )
@@ -79,6 +81,16 @@ def test_builtin_plan_unknown_kind():
 def test_serialize_load_round_trip(task_kind):
     plan = builtin_plan(task_kind)
     assert load_plan(serialize_plan(plan)) == plan
+    bundled = resources.files("heurobot.plans").joinpath("data", f"{task_kind}.json").read_text("utf-8")
+    assert json.loads(serialize_plan(plan)) == json.loads(bundled)
+
+
+def test_readme_plan_example_loads():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Plan documents", 1)[1]
+    example = re.search(r"```json\n(.*?)```", section, re.S).group(1)
+    plan = load_plan(example)
+    assert [e.kind for e in plan.entries] == ["move_steps", "move_to", "stabilizer_on"]
 
 
 # ---------------------------------------------------------------- loading
@@ -138,28 +150,29 @@ def test_load_rejects_unknown_entry_keys_and_kinds():
         load_plan('{"task_kind": "push_chair", "entries": [{"kind": "teleport", "label": "a"}]}')
 
 
-def test_load_rejects_bad_schema_version():
+@pytest.mark.parametrize("version", ["99", "true", "1.0"])
+def test_load_rejects_bad_schema_version(version):
     with pytest.raises(PlanError, match="schema_version"):
-        load_plan('{"schema_version": 99, "task_kind": "push_chair", "entries": []}')
+        load_plan('{"schema_version": %s, "task_kind": "push_chair", "entries": []}' % version)
 
 
 def test_validate_rejects_bad_velocity_threshold_and_task():
-    entry = PlanEntry(kind="move_to", label="x", slot="platform_x", selector="platform_x", target=1.0, velocity=2.0)
+    entry = {"kind": "move_to", "label": "x", "slot": "platform_x", "selector": "platform_x", "target": 1.0, "velocity": 2.0}
     with pytest.raises(PlanError, match="velocity"):
-        Plan(task_kind="push_chair", entries=(entry,))
-    entry = PlanEntry(kind="move_to", label="x", slot="platform_x", selector="platform_x", target=1.0, threshold=-1.0)
+        parse_plan({"task_kind": "push_chair", "entries": [entry]})
+    entry = {"kind": "move_to", "label": "x", "slot": "platform_x", "selector": "platform_x", "target": 1.0, "threshold": -1.0}
     with pytest.raises(PlanError, match="threshold"):
-        Plan(task_kind="push_chair", entries=(entry,))
+        parse_plan({"task_kind": "push_chair", "entries": [entry]})
     with pytest.raises(PlanError, match="task kind"):
-        Plan(task_kind="fold_laundry", entries=(entry,))
+        parse_plan({"task_kind": "fold_laundry", "entries": [entry]})
     with pytest.raises(PlanError, match="no entries"):
-        Plan(task_kind="push_chair", entries=())
+        parse_plan({"task_kind": "push_chair", "entries": []})
 
 
 def test_validate_rejects_single_arm_plan_using_right_arm():
-    entry = PlanEntry(kind="move_steps", label="a", action={"right_fingers": 0.5}, steps=3)
+    entry = {"kind": "move_steps", "label": "a", "action": {"right_fingers": 0.5}, "steps": 3}
     with pytest.raises(PlanError, match="right_fingers"):
-        Plan(task_kind="open_cabinet_door", entries=(entry,))
+        parse_plan({"task_kind": "open_cabinet_door", "entries": [entry]})
 
 
 @pytest.mark.parametrize(
@@ -185,6 +198,8 @@ def test_validate_rejects_single_arm_plan_using_right_arm():
         ("open_cabinet_door", 1, "target", "target_x"),
         ("open_cabinet_door", 1, "target", "facing_yaw:target"),
         ("open_cabinet_door", 1, "target", "target_edge_y:0.35"),
+        ("open_cabinet_door", 1, "selector", "right_arm_joint_0"),  # single-arm robot
+        ("open_cabinet_door", 1, "selector", "left_arm_joint_8"),  # joints run 0-7
     ],
 )
 def test_load_rejects_mistyped_fields_and_goal_point_targets_without_goal(task_kind, index, key, value):
