@@ -13,6 +13,7 @@ The output directory defaults to $HEUROBOT_OUT, then ``runs``.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import os
@@ -118,19 +119,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         return 1
     rows = report_rows(summaries)
     if args.format == "machine":
-        payload = {
-            "tasks": [
-                {
-                    "task": row.task,
-                    "episodes": row.episodes,
-                    "successes": row.successes,
-                    "success_rate": row.success_rate,
-                    "mean_steps": row.mean_steps,
-                }
-                for row in rows
-            ],
-            "skipped": skipped,
-        }
+        payload = {"tasks": [dataclasses.asdict(row) for row in rows], "skipped": skipped}
         print(json.dumps(payload, sort_keys=True, indent=2))
     else:
         print(format_report_table(rows))

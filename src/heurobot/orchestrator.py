@@ -7,7 +7,9 @@ the step cap, or when every sub-task has finished. Markers consume no
 environment steps: enabling the stabilizer and stepping the next sub-task
 happen within the same iteration. A plan that cannot be resolved against the
 first observation, or an error inside a step, fails that episode with its
-``error`` set; it never ends the batch.
+``error`` set; it never ends the batch. Each ``StepRecord`` keeps the
+observation its sub-task saw, so the step loop, the logs and replay share
+one immutable snapshot per step.
 
 ``run_batch`` can hand each finished episode to a ``write`` callable in the
 process that ran it (a pool worker at ``jobs > 1``); the batch then keeps the
@@ -22,7 +24,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
 
-from .core import Action, Observation, Point3, add, clamp, new_action
+from .core import Action, Observation, add, clamp, new_action
 from .mockenv import EnvConfig, MockEnv
 from .plans import Plan, StabilizerOn, resolve
 from .subtasks import ArmStabilizer
@@ -32,17 +34,12 @@ from .subtasks import ArmStabilizer
 class StepRecord:
     """One trajectory line: the observation a sub-task saw and what it did."""
 
-    step: int
     label: str
     subtask_index: int
     action: Action  # consumed by the environment (clamped)
     main_action: Action  # sub-task output
     stabilizer_action: Action  # all zeros before the marker
-    platform: tuple[float, float, float, float]  # x, y, height, yaw
-    joints: tuple[tuple[float, ...], ...]
-    object_pose: tuple[float, float, float]
-    handle: Point3
-    articulation: float | None
+    obs: Observation  # the snapshot the sub-task stepped on, before the action
 
 
 @dataclass(frozen=True, slots=True)
@@ -67,23 +64,6 @@ class BatchResult:
     results: tuple[EpisodeResult, ...]
     success_rate: float
     mean_steps: float
-
-
-def _record(obs: Observation, idx: int, label: str, main: Action, stab: Action, final: Action) -> StepRecord:
-    robot = obs.robot
-    return StepRecord(
-        step=obs.step_index,
-        label=label,
-        subtask_index=idx,
-        action=final,
-        main_action=main,
-        stabilizer_action=stab,
-        platform=(robot.platform_x, robot.platform_y, robot.platform_height, robot.platform_yaw),
-        joints=robot.arm_joints,
-        object_pose=obs.object.object_pose,
-        handle=obs.object.handle_position,
-        articulation=obs.object.articulation_value,
-    )
 
 
 def run_episode(task_kind: str, plan: Plan, env_config: EnvConfig | None = None, seed: int = 0) -> EpisodeResult:
@@ -119,7 +99,7 @@ def run_episode(task_kind: str, plan: Plan, env_config: EnvConfig | None = None,
             main, _ = st.step(obs)
             stab = stabilizer.step(obs) if stabilizer is not None else zeros
             final = clamp(add(main, stab))
-            record = _record(obs, idx, st.label, main, stab, final)
+            record = StepRecord(st.label, idx, final, main, stab, obs)
             obs, done = env.step(final)
         except Exception as e:  # noqa: BLE001 - episode failures must not kill a batch
             error = f"step {len(records)}: {e}"

@@ -36,20 +36,21 @@ def trajectory_lines(result: EpisodeResult, config: EnvConfig, plan_source: str)
     }
     lines = [_dumps(header)]
     for rec in result.trajectory:
+        robot, obj = rec.obs.robot, rec.obs.object
         lines.append(
             _dumps(
                 {
-                    "step": rec.step,
+                    "step": rec.obs.step_index,
                     "label": rec.label,
                     "subtask": rec.subtask_index,
                     "action": list(rec.action),
                     "main": list(rec.main_action),
                     "stabilizer": list(rec.stabilizer_action),
-                    "platform": list(rec.platform),
-                    "joints": [list(q) for q in rec.joints],
-                    "object": list(rec.object_pose),
-                    "handle": list(rec.handle),
-                    "articulation": rec.articulation,
+                    "platform": [robot.platform_x, robot.platform_y, robot.platform_height, robot.platform_yaw],
+                    "joints": [list(q) for q in robot.arm_joints],
+                    "object": list(obj.object_pose),
+                    "handle": list(obj.handle_position),
+                    "articulation": obj.articulation_value,
                 }
             )
         )
@@ -69,7 +70,12 @@ def _is_schema(doc: object, kind: str) -> bool:
 
 
 def read_trajectory(path) -> tuple[dict, list[dict]]:
-    """Returns (header, records); raises ValueError on schema mismatch or unreadable JSON."""
+    """Returns (header, records).
+
+    Raises ValueError on schema mismatch, unreadable JSON, a header ``task``
+    that is not a string or a ``seed``/``steps`` that is not an integer, a
+    record that is not an object, or a record count other than ``steps``.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         lines = [line for line in fh.read().splitlines() if line]
     if not lines:
@@ -77,6 +83,15 @@ def read_trajectory(path) -> tuple[dict, list[dict]]:
     header, *records = [loads_json(line, path) for line in lines]
     if not _is_schema(header, "trajectory"):
         raise ValueError(f"{path}: not a schema v{SCHEMA_VERSION} trajectory file")
+    if not isinstance(header.get("task"), str):
+        raise ValueError(f"{path}: trajectory 'task' must be a string")
+    for key in ("seed", "steps"):
+        if type(header.get(key)) is not int:
+            raise ValueError(f"{path}: trajectory {key!r} must be an integer")
+    if not all(isinstance(rec, dict) for rec in records):
+        raise ValueError(f"{path}: trajectory records must be objects")
+    if len(records) != header["steps"]:
+        raise ValueError(f"{path}: header says {header['steps']} steps, file has {len(records)} records")
     return header, records
 
 

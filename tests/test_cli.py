@@ -147,8 +147,14 @@ def test_report_table_and_machine_formats(tmp_path, capsys):
 
     assert main(["report", summary, "--format", "machine"]) == 0
     payload = json.loads(capsys.readouterr().out)
-    assert payload["tasks"][0]["task"] == "push_chair"
-    assert payload["tasks"][0]["episodes"] == 4
+    doc = read_summary(summary)
+    assert payload["tasks"][0] == {
+        "task": "push_chair",
+        "episodes": 4,
+        "successes": sum(1 for e in doc["episodes"] if e["success"]),
+        "success_rate": doc["success_rate"],
+        "mean_steps": doc["mean_steps"],
+    }
 
 
 def test_report_over_all_four_tasks_is_a_four_row_table(tmp_path, capsys):
@@ -198,19 +204,49 @@ def test_report_skips_malformed_files_with_warnings(tmp_path, capsys):
         assert "warning: skipping" in capsys.readouterr().err
 
 
+GOOD_HEADER = {"kind": "trajectory", "schema_version": 1, "task": "open_cabinet_door", "seed": 1, "steps": 1}
+
+
+def trajectory_text(header_edit=None, drop=None, records=("{}",)):
+    header = {**GOOD_HEADER, **(header_edit or {})}
+    header.pop(drop, None)
+    return "\n".join([json.dumps(header), *records]) + "\n"
+
+
+def test_read_trajectory_accepts_the_well_formed_file_the_cases_below_break(tmp_path):
+    path = tmp_path / "good.jsonl"
+    path.write_text(trajectory_text())
+    assert read_trajectory(path) == (GOOD_HEADER, [{}])
+
+
 @pytest.mark.parametrize(
-    "header",
+    "text",
     [
-        '{"kind": "trajectory", "schema_version": true}',
-        '{"kind": "trajectory", "schema_version": 1.0}',
-        "[1]",
-        "[" * 100000,
+        '{"kind": "trajectory", "schema_version": true}\n',
+        '{"kind": "trajectory", "schema_version": 1.0}\n',
+        "[1]\n",
+        "[" * 100000 + "\n",
+        trajectory_text(records=["[1]"]),
+        trajectory_text(records=['"x"']),
+        trajectory_text(drop="task"),
+        trajectory_text(drop="seed"),
+        trajectory_text(drop="steps"),
+        trajectory_text({"task": 7}),
+        trajectory_text({"seed": True}),
+        trajectory_text({"seed": "1"}),
+        trajectory_text({"steps": 1.0}),
+        trajectory_text({"steps": 2}),
+        trajectory_text(records=[]),
     ],
-    ids=["schema_version_true", "schema_version_float", "header_not_object", "nested_too_deep"],
+    ids=[
+        "schema_version_true", "schema_version_float", "header_not_object", "nested_too_deep",
+        "record_is_a_list", "record_is_a_string", "no_task", "no_seed", "no_steps", "task_not_string",
+        "seed_is_a_bool", "seed_is_a_string", "steps_is_a_float", "truncated", "no_records",
+    ],
 )
-def test_read_trajectory_rejects_malformed_files_with_value_error(tmp_path, header):
+def test_read_trajectory_rejects_malformed_files_with_value_error(tmp_path, text):
     path = tmp_path / "bad.jsonl"
-    path.write_text(header + "\n")
+    path.write_text(text)
     with pytest.raises(ValueError):
         read_trajectory(path)
 

@@ -7,7 +7,6 @@ from heurobot.core import (
     DUAL_ARM,
     SINGLE_ARM,
     ActionIndexMap,
-    ObjectAttributes,
     RobotConfig,
     add,
     clamp,
@@ -136,19 +135,3 @@ def test_index_map_build():
     assert sum(1 for v in act if v != 0.0) == 2
     with pytest.raises(KeyError):
         m.build({"nonsense": 1.0})
-
-
-def test_object_attribute_invariants():
-    with pytest.raises(ValueError):
-        ObjectAttributes(kind="door", handle_position=(0, 0, 0), object_pose=(0, 0, 0), size_extents=(1, 1, 1))
-    with pytest.raises(ValueError):
-        ObjectAttributes(
-            kind="bucket",
-            handle_position=(0, 0, 0),
-            object_pose=(0, 0, 0),
-            size_extents=(1, 1, 1),
-            articulation_value=0.1,
-            target_point=(1, 1),
-        )
-    with pytest.raises(ValueError):
-        ObjectAttributes(kind="bucket", handle_position=(0, 0, 0), object_pose=(0, 0, 0), size_extents=(1, 1, 1))

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from heurobot.core import TASK_KINDS, wrap_angle
+from heurobot.core import TASK_KINDS, TASK_OBJECT, Observation, wrap_angle
 from heurobot.mockenv import (
     DETACH_OPEN_STEPS,
     NOISE_TRUNCATION,
@@ -87,6 +87,34 @@ def test_ready_pose_fingertip_geometry():
     assert fz == pytest.approx(robot.platform_height + READY_FINGER_RISE, abs=1e-9)
     assert READY_FINGER_FORWARD == pytest.approx(0.35, abs=2e-4)
     assert READY_FINGER_RISE == pytest.approx(0.15, abs=2e-4)
+
+
+# ------------------------------------------------------------ observations
+
+
+@pytest.mark.parametrize("task_kind", TASK_KINDS)
+def test_observations_keep_the_object_kind_invariants(task_kind):
+    # the env is the only builder of ObjectAttributes, which has no constructor check
+    kind = TASK_OBJECT[task_kind]
+    for seed in range(3):
+        actions = [rec.action for rec in run_episode(task_kind, builtin_plan(task_kind), seed=seed).trajectory]
+        env = MockEnv(task_kind)
+        seen = [env.reset(seed)] + [env.step(act)[0] for act in actions]
+        assert len(seen) == len(actions) + 1 > 1
+        for obs in seen:
+            assert obs.object.kind == kind
+            assert (obs.object.articulation_value is not None) == (kind in ("door", "drawer"))
+            assert (obs.object.target_point is not None) == (kind in ("bucket", "chair"))
+
+
+def test_reset_and_step_return_the_shapes_the_benchmark_tracer_reads():
+    # bench/tracer.py tells step's (obs, done) from reset's obs by isinstance(result, tuple)
+    env = MockEnv("move_bucket")
+    obs = env.reset(0)
+    assert isinstance(obs, Observation) and not isinstance(obs, tuple)
+    result = env.step((0.0,) * env.index_map.dim)
+    assert type(result) is tuple and len(result) == 2
+    assert isinstance(result[0], Observation) and type(result[1]) is bool
 
 
 # -------------------------------------------------------------- kinematics

@@ -101,7 +101,7 @@ def test_same_seed_reproduces_the_episode_exactly():
 
 def test_step_records_carry_the_pre_action_observation():
     result = run_episode("open_cabinet_door", builtin_plan("open_cabinet_door"), None, seed=8)
-    assert [r.step for r in result.trajectory] == list(range(result.steps))
+    assert [r.obs.step_index for r in result.trajectory] == list(range(result.steps))
 
 
 def test_plan_task_mismatch_is_rejected():
@@ -120,21 +120,11 @@ def test_subtask_errors_become_failed_results(monkeypatch):
     assert result.steps == 0
 
 
-def test_replay_reproduces_logged_observations():
-    plan = builtin_plan("open_cabinet_drawer")
-    result = run_episode("open_cabinet_drawer", plan, None, seed=23)
+@pytest.mark.parametrize("task_kind", TASK_KINDS)
+def test_replay_reproduces_logged_observations(task_kind):
+    result = run_episode(task_kind, builtin_plan(task_kind), None, seed=23)
     actions = [rec.action for rec in result.trajectory]
-    observations = replay_actions("open_cabinet_drawer", None, 23, actions)
-    assert len(observations) == result.steps
-    for rec, obs in zip(result.trajectory, observations):
-        assert rec.platform == (
-            obs.robot.platform_x, obs.robot.platform_y,
-            obs.robot.platform_height, obs.robot.platform_yaw,
-        )
-        assert rec.joints == obs.robot.arm_joints
-        assert rec.object_pose == obs.object.object_pose
-        assert rec.handle == obs.object.handle_position
-        assert rec.articulation == obs.object.articulation_value
+    assert [r.obs for r in result.trajectory] == replay_actions(task_kind, None, 23, actions)
 
 
 # ------------------------------------------------------------------ batch
