@@ -49,10 +49,7 @@ def parse_seeds(text: str) -> list[int]:
 def _load_config(path: str | None) -> EnvConfig:
     if path is None:
         return EnvConfig()
-    data = loads_json(Path(path).read_text(encoding="utf-8"), path)
-    if not isinstance(data, dict):
-        raise ValueError(f"{path}: config must be a JSON object")
-    return EnvConfig.from_mapping(data)
+    return EnvConfig.from_mapping(loads_json(Path(path).read_text(encoding="utf-8"), path))
 
 
 def _write_log(out_dir: Path, config: EnvConfig, plan_source: str, result: EpisodeResult) -> None:

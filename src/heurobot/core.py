@@ -4,9 +4,9 @@ environment and the episode runner.
 Actions are plain tuples of normalized command scalars. The convention for
 every slot is a unitless velocity in [-1, +1]; the environment scales it by
 its configured rates. Actions stay unclamped while controllers compose them.
-The environment clamps what it consumes; the episode runner clamps the same
-sum before logging it, so the logged action equals the consumed one
-(``clamp`` is idempotent).
+The episode runner clamps the composed sum once, and the environment
+consumes and the log records that same action; ``MockEnv.step`` saturates
+nothing and rejects any component outside [-1, +1], NaN and inf included.
 
 An ``Observation`` is one immutable snapshot per step. Its parts,
 ``RobotState`` and ``ObjectAttributes``, are named tuples that only the

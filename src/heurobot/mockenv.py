@@ -23,7 +23,6 @@ from .core import (
     Observation,
     Point3,
     RobotState,
-    clamp,
     is_finite_number,
     wrap_angle,
 )
@@ -104,6 +103,8 @@ class EnvConfig:
 
     @classmethod
     def from_mapping(cls, data: dict) -> "EnvConfig":
+        if not isinstance(data, dict):
+            raise ValueError(f"config must be a JSON object, got {type(data).__name__}")
         known = {f.name for f in fields(cls)}
         unknown = set(data) - known
         if unknown:
@@ -298,24 +299,23 @@ class MockEnv:
             raise RuntimeError("episode already done; reset() to start a new one")
         if len(action) != self.index_map.dim:
             raise ValueError(f"action dimension {len(action)} != {self.index_map.dim}")
-        if not all(map(math.isfinite, action)):
-            raise ValueError("action contains non-finite components")
-        act = clamp(action)
+        if not all(-1.0 <= v <= 1.0 for v in action):  # NaN fails the test too
+            raise ValueError("action components must lie in [-1, 1]")
         cfg = self.config
         lin = cfg.linear_velocity_scale * cfg.dt
         ang = cfg.angular_velocity_scale * cfg.dt
 
         p = state.platform
-        p[0] += act[0] * lin
-        p[1] += act[1] * lin
-        p[3] = wrap_angle(p[3] + act[2] * ang)
-        p[2] = min(max(p[2] + act[3] * lin, HEIGHT_LIMITS[0]), HEIGHT_LIMITS[1])
+        p[0] += action[0] * lin
+        p[1] += action[1] * lin
+        p[3] = wrap_angle(p[3] + action[2] * ang)
+        p[2] = min(max(p[2] + action[3] * lin, HEIGHT_LIMITS[0]), HEIGHT_LIMITS[1])
 
         normal = state.noise_rng.normalvariate
         std = cfg.disturbance_std
         bound = NOISE_TRUNCATION * std
         for q, slots, attached in zip(state.joints, self.index_map.joint_slots, state.attachments):
-            q[:] = [x + act[slot] * ang for x, slot in zip(q, slots)]
+            q[:] = [x + action[slot] * ang for x, slot in zip(q, slots)]
             if attached is not None:
                 # reaction-force proxy: seeded noise on loaded arms only
                 noise = [normal(0.0, std) for _ in q]
@@ -323,7 +323,7 @@ class MockEnv:
 
         fingers = self._compute_fingers(p, state.joints)
         self._update_object(fingers, lin)
-        self._update_attachments(act, fingers)
+        self._update_attachments(action, fingers)
         state.fingers = fingers
         state.step += 1
         state.done = self.success() or state.step >= cfg.max_steps

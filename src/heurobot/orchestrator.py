@@ -2,14 +2,16 @@
 
 Each iteration the first unfinished sub-task produces one action, the
 stabilizer contribution (once its marker has been passed) is added, the sum
-is clamped and handed to the environment. Episodes stop on task success, on
-the step cap, or when every sub-task has finished. Markers consume no
-environment steps: enabling the stabilizer and stepping the next sub-task
-happen within the same iteration. A plan that cannot be resolved against the
-first observation, or an error inside a step, fails that episode with its
-``error`` set; it never ends the batch. Each ``StepRecord`` keeps the
-observation its sub-task saw, so the step loop, the logs and replay share
-one immutable snapshot per step.
+is clamped and handed to the environment; this is the only place an action
+is saturated. Episodes stop on task success, on the step cap, or when every
+sub-task has finished. Markers consume no environment steps: enabling the
+stabilizer and stepping the next sub-task happen within the same iteration.
+A plan that cannot be resolved against the first observation, or an error
+inside a step, fails that episode with its ``error`` set; it never ends the
+batch. Each ``StepRecord`` keeps the observation its sub-task saw, so the
+step loop, the logs and replay share one immutable snapshot per step. Each
+entry's step count is counted from those records, so it matches
+``subtask_trace`` even when a step fails.
 
 ``run_batch`` can hand each finished episode to a ``write`` callable in the
 process that ran it (a pool worker at ``jobs > 1``); the batch then keeps the
@@ -48,7 +50,7 @@ class EpisodeResult:
     seed: int
     success: bool
     steps: int
-    subtask_steps: tuple[int, ...]  # per plan entry, step() invocations
+    subtask_steps: tuple[int, ...]  # per plan entry, its steps in the trajectory
     trajectory: tuple[StepRecord, ...]
     error: str | None = None
 
@@ -106,12 +108,13 @@ def run_episode(task_kind: str, plan: Plan, env_config: EnvConfig | None = None,
             break
         records.append(record)
 
+    trace = [rec.subtask_index for rec in records]
     return EpisodeResult(
         task_kind=task_kind,
         seed=seed,
         success=env.success() and error is None,
         steps=len(records),
-        subtask_steps=tuple(0 if isinstance(st, StabilizerOn) else st.steps_taken for st in subtasks),
+        subtask_steps=tuple(map(trace.count, range(len(subtasks)))),
         trajectory=tuple(records),
         error=error,
     )

@@ -113,7 +113,6 @@ class MoveTo:
     velocity: float = 0.5
     threshold: float = 0.01
     label: str = "move_to"
-    steps_taken: int = 0
     done: bool = False
 
     def __post_init__(self) -> None:
@@ -137,7 +136,6 @@ class MoveTo:
             raise SubTaskError(f"{self.label}: stepped after completion")
         d = self.distance(obs)
         act = one_hot(self.action_dim, self.active_index, self.velocity if d > 0 else -self.velocity)
-        self.steps_taken += 1
         self.done = abs(d) < self.threshold
         return act, self.done
 

@@ -134,6 +134,8 @@ def read_summary(path) -> dict:
             raise ValueError(f"{path}: summary {key!r} must be a finite number")
     if not isinstance(doc["episodes"], list) or not all(isinstance(e, dict) for e in doc["episodes"]):
         raise ValueError(f"{path}: summary 'episodes' must be a list of objects")
+    if not all(type(e.get("success")) is bool for e in doc["episodes"]):
+        raise ValueError(f"{path}: summary episode 'success' must be true or false")
     return doc
 
 
@@ -154,7 +156,7 @@ def report_rows(summaries: list[dict]) -> list[ReportRow]:
             ReportRow(
                 task=doc["task"],
                 episodes=len(episodes),
-                successes=sum(1 for e in episodes if e.get("success")),
+                successes=sum(1 for e in episodes if e["success"]),
                 success_rate=doc["success_rate"],
                 mean_steps=doc["mean_steps"],
             )

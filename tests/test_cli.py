@@ -185,6 +185,8 @@ def test_report_skips_malformed_files_with_warnings(tmp_path, capsys):
         "steps_not_finite": json.dumps({**doc, "mean_steps": math.nan}),
         "task_not_string": json.dumps({**doc, "task": 7}),
         "schema_version_true": json.dumps({**doc, "schema_version": True}),
+        "success_string": json.dumps({**doc, "episodes": [{**e, "success": "false"} for e in doc["episodes"]]}),
+        "success_int": json.dumps({**doc, "episodes": [{**e, "success": 1} for e in doc["episodes"]]}),
     }
     junk = []
     for name, text in junk_texts.items():

@@ -154,8 +154,10 @@ def test_action_validation():
     env.reset(0)
     with pytest.raises(ValueError):
         env.step((0.0,) * 5)
-    with pytest.raises(ValueError):
-        env.step((float("nan"),) * env.index_map.dim)
+    for bad in (math.nan, math.inf, 1.5, -1.0000001):
+        with pytest.raises(ValueError, match=r"\[-1, 1\]"):
+            env.step(env.index_map.build({"platform_x": bad}))
+    env.step(env.index_map.build({"platform_x": 1.0, "platform_y": -1.0}))  # the bounds themselves are accepted
     with pytest.raises(RuntimeError):
         MockEnv("open_cabinet_door").step((0.0,) * 13)
 
@@ -385,6 +387,12 @@ def test_env_config_mapping_round_trip():
 )
 def test_env_config_rejects_wrong_typed_and_non_finite_fields(data):
     with pytest.raises(ValueError, match=next(iter(data))):
+        EnvConfig.from_mapping(data)
+
+
+@pytest.mark.parametrize("data", [5, None, [1]], ids=["number", "null", "array"])
+def test_env_config_must_be_an_object(data):
+    with pytest.raises(ValueError, match="JSON object"):
         EnvConfig.from_mapping(data)
 
 

@@ -109,15 +109,22 @@ def test_plan_task_mismatch_is_rejected():
         run_episode("push_chair", builtin_plan("move_bucket"), None, seed=0)
 
 
-def test_subtask_errors_become_failed_results(monkeypatch):
-    def broken_step(self, action):
-        raise RuntimeError("actuator fault")
+@pytest.mark.parametrize("fail_at", [0, 2])
+def test_subtask_errors_become_failed_results(monkeypatch, fail_at):
+    real_step = MockEnv.step
 
-    monkeypatch.setattr(MockEnv, "step", broken_step)
+    def failing_step(self, action):
+        if self.state.step == fail_at:
+            raise RuntimeError("actuator fault")
+        return real_step(self, action)
+
+    monkeypatch.setattr(MockEnv, "step", failing_step)
     result = run_episode("open_cabinet_door", idle_plan(), None, seed=1)
     assert not result.success
-    assert result.error is not None and "step 0" in result.error
-    assert result.steps == 0
+    assert result.error is not None and f"step {fail_at}" in result.error
+    assert result.steps == fail_at
+    # only the steps the env completed count, so the per-entry count matches the trace
+    assert result.subtask_steps == (fail_at,) and result.subtask_trace == (0,) * fail_at
 
 
 @pytest.mark.parametrize("task_kind", TASK_KINDS)
