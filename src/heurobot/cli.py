@@ -108,7 +108,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     for path in args.summaries:
         try:
             summaries.append(read_summary(path))
-        except (OSError, ValueError, json.JSONDecodeError) as e:
+        except (OSError, ValueError) as e:
             skipped += 1
             print(f"warning: skipping {path}: {e}", file=sys.stderr)
     if not summaries:

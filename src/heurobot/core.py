@@ -95,14 +95,19 @@ def wrap_angle(angle: float) -> float:
 
 @dataclass(frozen=True, slots=True)
 class RobotConfig:
-    """Degree-of-freedom layout of a mobile manipulator."""
+    """Degree-of-freedom layout of a mobile manipulator.
+
+    ``arms`` is ``("left",)`` or ``("left", "right")``: joint selectors read
+    the left arm at index 0 and the right arm at index 1, and slot names
+    must be distinct.
+    """
 
     arms: tuple[str, ...] = ("left",)
     joints_per_arm: int = 8
 
     def __post_init__(self) -> None:
-        if not self.arms or any(a not in ("left", "right") for a in self.arms):
-            raise ValueError(f"invalid arm set {self.arms!r}")
+        if self.arms not in (("left",), ("left", "right")):
+            raise ValueError(f"invalid arm set {self.arms!r}; expected ('left',) or ('left', 'right')")
         if self.joints_per_arm <= 0:
             raise ValueError("joints_per_arm must be positive")
 

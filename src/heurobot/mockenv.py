@@ -126,7 +126,7 @@ class Layout:
     robot_yaw: float
     handle0: Point3 | None = None  # door/drawer grip point at articulation 0
     axis: tuple[float, float] | None = None  # articulation axis, outward
-    door_radius: float | None = None  # m, handle lever arm around the hinge
+    lever: float | None = None  # handle travel per unit articulation: hinge radius (m, door) or 1.0 (drawer)
     art_target: float | None = None  # rad (door) or m (drawer)
     art_range: float | None = None  # articulation hard stop
     object_xy: tuple[float, float] | None = None
@@ -149,11 +149,11 @@ def _sample_layout(task_kind: str, rng: random.Random) -> Layout:
         ux, uy = math.cos(bearing), math.sin(bearing)
         handle0 = (rx + dist * ux, ry + dist * uy, handle_z)
         if task_kind == "open_cabinet_door":
-            door_radius = rng.uniform(0.28, 0.40)
+            lever = rng.uniform(0.28, 0.40)
             art_target = rng.uniform(0.50, 0.70)
             art_range = art_target + 0.15
         else:
-            door_radius = None
+            lever = 1.0
             art_target = rng.uniform(0.22, 0.30)
             art_range = art_target + 0.08
         return Layout(
@@ -161,7 +161,7 @@ def _sample_layout(task_kind: str, rng: random.Random) -> Layout:
             robot_yaw=yaw0,
             handle0=handle0,
             axis=(-ux, -uy),
-            door_radius=door_radius,
+            lever=lever,
             art_target=art_target,
             art_range=art_range,
             object_xy=(handle0[0] + 0.25 * ux, handle0[1] + 0.25 * uy),
@@ -232,13 +232,13 @@ class EnvState:
     platform: list[float]  # x, y, height (m), yaw (rad)
     joints: list[list[float]]  # rad, one list per arm
     fingers: tuple[Point3, ...]  # fingertips at the current pose, one per arm
-    attachments: list[str | None]
-    open_counts: list[int]  # per arm, consecutive opening commands while attached
+    grasping: list[bool]  # per arm
+    open_counts: list[int]  # per arm, consecutive opening commands while grasping
     object_xy: tuple[float, float]
     object_yaw: float
     object_z: float = 0.0  # bucket base above ground
     articulation: float = 0.0
-    carry: Carry | None = None
+    carry: Carry | None = None  # set exactly while every arm of a bucket or chair env grasps
     step: int = 0
     done: bool = False
 
@@ -282,7 +282,7 @@ class MockEnv:
             platform=platform,
             joints=joints,
             fingers=self._compute_fingers(platform, joints),
-            attachments=[None] * n_arms,
+            grasping=[False] * n_arms,
             open_counts=[0] * n_arms,
             object_xy=layout.object_xy,
             object_yaw=layout.object_yaw,
@@ -314,9 +314,9 @@ class MockEnv:
         normal = state.noise_rng.normalvariate
         std = cfg.disturbance_std
         bound = NOISE_TRUNCATION * std
-        for q, slots, attached in zip(state.joints, self.index_map.joint_slots, state.attachments):
+        for q, slots, held in zip(state.joints, self.index_map.joint_slots, state.grasping):
             q[:] = [x + action[slot] * ang for x, slot in zip(q, slots)]
-            if attached is not None:
+            if held:
                 # reaction-force proxy: seeded noise on loaded arms only
                 noise = [normal(0.0, std) for _ in q]
                 q[:] = [x + (-bound if v < -bound else (bound if v > bound else v)) for x, v in zip(q, noise)]
@@ -344,7 +344,7 @@ class MockEnv:
         off_target = math.hypot(state.object_xy[0] - lay.target[0], state.object_xy[1] - lay.target[1])
         if self.object_kind == "bucket":
             return (
-                not any(a is not None for a in state.attachments)
+                not any(state.grasping)
                 and off_target <= cfg.bucket_xy_tolerance
                 and abs(state.object_z - PLATFORM_TOP_HEIGHT) <= cfg.bucket_height_tolerance
             )
@@ -370,23 +370,21 @@ class MockEnv:
         )
 
     def _update_object(self, fingers: tuple[Point3, ...], lin: float) -> None:
-        """Object pose response to the (pre-transition) attachment state.
+        """Object pose response to the (pre-transition) grasp state.
 
         ``state.fingers`` still holds the fingertips of the previous step.
         """
         state = self.state
         lay = state.layout
         if self.object_kind in ("door", "drawer"):
-            if state.attachments[0] is not None:
+            if state.grasping[0]:
                 dx = fingers[0][0] - state.fingers[0][0]
                 dy = fingers[0][1] - state.fingers[0][1]
                 proj = dx * lay.axis[0] + dy * lay.axis[1]
                 if proj > 0.0:  # articulated joints ratchet; plans never push back
-                    gain = 1.0 / lay.door_radius if self.object_kind == "door" else 1.0
-                    state.articulation = min(state.articulation + proj * gain, lay.art_range)
+                    state.articulation = min(state.articulation + proj * (1.0 / lay.lever), lay.art_range)
             return
-        held = all(a is not None for a in state.attachments)
-        if held and state.carry is not None:
+        if state.carry is not None:
             mid = self._mid_fingers(fingers)
             yaw = state.platform[3]
             c, s = math.cos(yaw), math.sin(yaw)
@@ -398,7 +396,7 @@ class MockEnv:
             state.object_yaw = wrap_angle(yaw + carry.yaw_off)
             if self.object_kind == "bucket":
                 state.object_z = max(mid[2] + carry.z_off, 0.0)
-        elif self.object_kind == "bucket" and not any(a is not None for a in state.attachments):
+        elif self.object_kind == "bucket" and not any(state.grasping):
             # released load settles, rate-limited, onto whatever supports it
             dx = state.object_xy[0] - lay.target[0]
             dy = state.object_xy[1] - lay.target[1]
@@ -433,26 +431,22 @@ class MockEnv:
         released = False
         for arm, slot in enumerate(self.index_map.finger_slots):
             cmd = act[slot]
-            if state.attachments[arm] is None:
+            if not state.grasping[arm]:
                 if cmd > 0.0 and self._grip_distance(arm, fingers) <= grasp_radius:
-                    state.attachments[arm] = self.object_kind
+                    state.grasping[arm] = True
                     state.open_counts[arm] = 0
             else:
                 if cmd < 0.0:
                     state.open_counts[arm] += 1
                     if state.open_counts[arm] >= DETACH_OPEN_STEPS:
-                        state.attachments[arm] = None
+                        state.grasping[arm] = False
                         state.open_counts[arm] = 0
                         released = True
                 else:
                     state.open_counts[arm] = 0
         if released:
             state.carry = None
-        if (
-            self.object_kind in ("bucket", "chair")
-            and state.carry is None
-            and all(a is not None for a in state.attachments)
-        ):
+        if self.object_kind in ("bucket", "chair") and state.carry is None and all(state.grasping):
             mid = self._mid_fingers(fingers)
             yaw = state.platform[3]
             c, s = math.cos(yaw), math.sin(yaw)
@@ -468,7 +462,7 @@ class MockEnv:
         state = self.state
         lay = state.layout
         if self.object_kind in ("door", "drawer"):
-            shift = lay.door_radius * state.articulation if self.object_kind == "door" else state.articulation
+            shift = lay.lever * state.articulation
             return (
                 lay.handle0[0] + lay.axis[0] * shift,
                 lay.handle0[1] + lay.axis[1] * shift,
@@ -496,7 +490,7 @@ class MockEnv:
             platform_yaw=yaw,
             arm_joints=tuple(map(tuple, state.joints)),
             finger_positions=state.fingers,
-            grasping=tuple(a is not None for a in state.attachments),
+            grasping=tuple(state.grasping),
         )
         obj = ObjectAttributes(
             kind=kind,

@@ -143,7 +143,10 @@ def run_batch(
     With ``write``, each episode is passed to it as soon as it ends, in the
     process that ran it, and the batch keeps the result with an empty
     ``trajectory``. ``write`` must be picklable when ``jobs > 1``; an error it
-    raises ends the batch. At most ``len(seeds)`` workers are started, and a
+    raises ends the batch. Without ``write`` at ``jobs > 1``, each result
+    crosses the process boundary with its whole trajectory, every step's
+    observation included (73,772 pickled bytes for the 94-step
+    ``move_bucket`` seed 3). At most ``len(seeds)`` workers are started, and a
     single worker runs in this process.
     """
     seeds = list(seeds)

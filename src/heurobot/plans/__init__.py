@@ -46,7 +46,6 @@ PLAN_SCHEMA_VERSION = 1
 DEFAULT_VELOCITY = 0.5
 DEFAULT_THRESHOLDS = {"platform_rotation": 0.02}  # rad; translations below
 DEFAULT_THRESHOLD = 0.01  # m
-DEFAULT_EDGE_OFFSET = 0.35  # m, target_edge_* without an explicit D
 
 GOAL_POINT_OBJECTS = ("bucket", "chair")  # objects whose scene has a goal point
 
@@ -78,7 +77,7 @@ def _edge_point(obs: Observation, offset: float) -> tuple[float, float]:
 
 
 class TargetRule(NamedTuple):
-    offset: bool  # takes an optional ":D" offset in meters
+    offset: bool  # requires a ":D" offset in meters
     goal_point: bool  # reads the goal point, which only GOAL_POINT_OBJECTS have
     evaluate: Callable[[Observation, float], float]  # (first observation, offset)
 
@@ -106,11 +105,11 @@ def _parse_target(target: str) -> tuple[TargetRule, float]:
     rule = TARGETS.get(name)
     if rule is not None and rule.offset:
         try:
-            offset = float(arg) if arg else DEFAULT_EDGE_OFFSET
+            offset = float(arg)
         except ValueError:
             offset = math.nan
         if not math.isfinite(offset):
-            raise PlanError(f"bad edge offset {arg!r} in target {target!r}")
+            raise PlanError(f"target {target!r} needs a finite offset D in meters, as in '{name}:0.35'")
         return rule, offset
     if target not in TARGETS:
         raise PlanError(f"unknown target expression {target!r}")

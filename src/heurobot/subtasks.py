@@ -110,8 +110,8 @@ class MoveTo:
     target: float
     selector: Selector
     action_dim: int
-    velocity: float = 0.5
-    threshold: float = 0.01
+    velocity: float
+    threshold: float
     label: str = "move_to"
     done: bool = False
 
@@ -140,6 +140,9 @@ class MoveTo:
         return act, self.done
 
 
+STABILIZER_GAIN = 0.2  # at step 0, then decays geometrically
+STABILIZER_DECAY = 0.995  # per step
+STABILIZER_MIN_GAIN = 0.02  # floor of the decayed gain
 STABILIZER_THRESHOLD = 0.01  # rad, per joint
 
 
@@ -150,18 +153,14 @@ class ArmStabilizer:
     Each joint that is not settled emits +/-gain at its slot toward its
     reference angle, then counts as settled once |error| < 0.01; a settled
     joint stays silent until it drifts back out of that band. The gain
-    degenerates geometrically (``velocity * decay**k``, floored) so the hold
-    softens over time; ``decay=1.0`` selects a constant gain. The output is
-    meant to be added to the main-stream action before clamping and is zero
-    outside the stabilized joint slots.
+    degenerates geometrically (``0.2 * 0.995**k``, floored at 0.02) so the
+    hold softens over time. The output is meant to be added to the
+    main-stream action before clamping and is zero outside the stabilized
+    joint slots.
     """
 
     index_map: ActionIndexMap
     reference: tuple[tuple[float, ...], ...]
-    velocity: float = 0.2
-    decay: float = 0.995
-    min_velocity: float = 0.02
-    threshold: float = STABILIZER_THRESHOLD
     steps_taken: int = 0
 
     def __post_init__(self) -> None:
@@ -173,8 +172,6 @@ class ArmStabilizer:
                 raise ValueError(
                     f"reference pose for arm {arm} has {len(pose)} joints, expected {robot.joints_per_arm}"
                 )
-        if not (0.0 < self.velocity <= 1.0 and self.threshold > 0.0):
-            raise ValueError(f"stabilizer velocity {self.velocity} must be in (0, 1], threshold {self.threshold} > 0")
         # per joint, in arm-major order: (arm, joint, action slot, target); _settled[k] is joint k's mask bit
         self._joints = tuple(
             (arm, joint, slot, angle)
@@ -185,11 +182,10 @@ class ArmStabilizer:
 
     @property
     def gain(self) -> float:
-        return max(self.velocity * self.decay**self.steps_taken, self.min_velocity)
+        return max(STABILIZER_GAIN * STABILIZER_DECAY**self.steps_taken, STABILIZER_MIN_GAIN)
 
     def step(self, obs: Observation) -> Action:
         g = self.gain
-        pos, neg = 0.0 + g, 0.0 - g  # +/-gain as summed into a zero action
         settled = self._settled
         joints = obs.robot.arm_joints
         out = [0.0] * self.index_map.dim
@@ -202,9 +198,9 @@ class ArmStabilizer:
                 name = self.index_map.robot.arms[arm]
                 raise SubTaskError(f"stabilize_{name}_joint_{joint}: selector returned non-finite value {x!r}")
             d = target - x
-            if settled[k] and abs(d) < self.threshold:
+            if settled[k] and abs(d) < STABILIZER_THRESHOLD:
                 continue  # settled and still inside the band
-            out[slot] = pos if d > 0 else neg
-            settled[k] = abs(d) < self.threshold
+            out[slot] = g if d > 0 else -g
+            settled[k] = abs(d) < STABILIZER_THRESHOLD
         self.steps_taken += 1
         return tuple(out)

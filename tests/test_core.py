@@ -104,6 +104,10 @@ def test_robot_config_validation():
         RobotConfig(arms=())
     with pytest.raises(ValueError):
         RobotConfig(arms=("middle",))
+    # duplicate arms would share slot names; a lone right arm would be read at index 1
+    for arms in (("left", "left"), ("right",), ("right", "left"), ("left", "right", "right")):
+        with pytest.raises(ValueError, match="invalid arm set"):
+            RobotConfig(arms=arms)
     with pytest.raises(ValueError):
         RobotConfig(joints_per_arm=0)
 

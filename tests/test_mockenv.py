@@ -107,6 +107,24 @@ def test_observations_keep_the_object_kind_invariants(task_kind):
             assert (obs.object.target_point is not None) == (kind in ("bucket", "chair"))
 
 
+@pytest.mark.parametrize("task_kind", TASK_KINDS)
+def test_carry_is_set_exactly_while_every_arm_grasps(task_kind):
+    # the env moves a bucket or chair whenever ``carry`` is set, without re-reading the grasp flags
+    carries = TASK_OBJECT[task_kind] in ("bucket", "chair")
+    for seed in range(3):
+        actions = [rec.action for rec in run_episode(task_kind, builtin_plan(task_kind), seed=seed).trajectory]
+        env = MockEnv(task_kind)
+        env.reset(seed)
+        held_steps = 0
+        for act in [*actions, None]:
+            state = env.state
+            assert (state.carry is not None) == (carries and all(state.grasping)), f"seed {seed}, step {state.step}"
+            held_steps += all(state.grasping)
+            if act is not None:
+                env.step(act)
+        assert held_steps > 0  # the plan grasps, so both sides of the equality are exercised
+
+
 def test_reset_and_step_return_the_shapes_the_benchmark_tracer_reads():
     # bench/tracer.py tells step's (obs, done) from reset's obs by isinstance(result, tuple)
     env = MockEnv("move_bucket")
@@ -219,7 +237,7 @@ def test_door_articulation_scales_with_handle_radius():
     lay = env.state.layout
     pull = env.index_map.build({"platform_x": 0.6 * lay.axis[0], "platform_y": 0.6 * lay.axis[1]})
     obs, _ = env.step(pull)
-    assert obs.object.articulation_value == pytest.approx(0.6 * 0.05 / lay.door_radius, abs=1e-9)
+    assert obs.object.articulation_value == pytest.approx(0.6 * 0.05 / lay.lever, abs=1e-9)
 
 
 def test_attach_requires_closing_and_proximity():
@@ -349,9 +367,9 @@ def test_bucket_success_requires_release():
     state = env.state
     state.object_xy = state.layout.target
     state.object_z = PLATFORM_TOP_HEIGHT
-    state.attachments = ["bucket", "bucket"]
+    state.grasping = [True, True]
     assert not env.success()
-    state.attachments = [None, None]
+    state.grasping = [False, False]
     assert env.success()
 
 

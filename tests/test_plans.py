@@ -195,6 +195,7 @@ def test_validate_rejects_single_arm_plan_using_right_arm():
         ("push_chair", 1, "target", math.inf),
         ("push_chair", 1, "target", "target_edge_x:nan"),
         ("push_chair", 1, "target", "target_edge_x:far"),
+        ("push_chair", 1, "target", "target_edge_x"),  # the :D offset is required
         ("open_cabinet_door", 1, "target", "target_x"),
         ("open_cabinet_door", 1, "target", "facing_yaw:target"),
         ("open_cabinet_door", 1, "target", "target_edge_y:0.35"),
