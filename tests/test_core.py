@@ -104,12 +104,19 @@ def test_robot_config_validation():
         RobotConfig(arms=())
     with pytest.raises(ValueError):
         RobotConfig(arms=("middle",))
-    # duplicate arms would share slot names; a lone right arm would be read at index 1
-    for arms in (("left", "left"), ("right",), ("right", "left"), ("left", "right", "right")):
-        with pytest.raises(ValueError, match="invalid arm set"):
-            RobotConfig(arms=arms)
     with pytest.raises(ValueError):
         RobotConfig(joints_per_arm=0)
+
+
+@pytest.mark.parametrize(
+    "arms",
+    [("left", "left"), ("right",), ("right", "left"), ("left", "right", "right")],
+    ids=["left_left", "right_only", "right_left", "left_right_right"],
+)
+def test_robot_config_rejects_arm_sets_the_stack_cannot_serve(arms):
+    # duplicate arms would share slot names; a lone right arm would be read at index 1
+    with pytest.raises(ValueError, match="invalid arm set"):
+        RobotConfig(arms=arms)
 
 
 @pytest.mark.parametrize("config", [SINGLE_ARM, DUAL_ARM])
