@@ -5,6 +5,7 @@ import random
 import pytest
 
 from heurobot.core import TASK_KINDS, TASK_OBJECT, Observation, wrap_angle
+from heurobot import mockenv
 from heurobot.mockenv import (
     DETACH_OPEN_STEPS,
     NOISE_TRUNCATION,
@@ -175,6 +176,12 @@ def test_action_validation():
     for bad in (math.nan, math.inf, 1.5, -1.0000001):
         with pytest.raises(ValueError, match=r"\[-1, 1\]"):
             env.step(env.index_map.build({"platform_x": bad}))
+    for bad in ("x", None, 1j):  # not a number: a typed error, not a raw TypeError
+        action = list(env.index_map.build({}))
+        action[0] = bad
+        with pytest.raises(ValueError, match=r"\[-1, 1\]"):
+            env.step(action)
+    assert env.state.step == 0  # a rejected action moves nothing
     env.step(env.index_map.build({"platform_x": 1.0, "platform_y": -1.0}))  # the bounds themselves are accepted
     with pytest.raises(RuntimeError):
         MockEnv("open_cabinet_door").step((0.0,) * 13)
@@ -281,6 +288,34 @@ def test_disturbance_only_hits_attached_arms():
     assert before.robot.grasping == (True,)
     obs, _ = env.step(zero)
     assert obs.robot.arm_joints != before.robot.arm_joints
+
+
+@pytest.mark.parametrize("std", [0.0, 0.01, 0.05])
+def test_inlined_disturbance_matches_normalvariate(std):
+    # MockEnv.step draws the held-arm noise with random.normalvariate's
+    # ratio-of-uniforms loop inlined; a twin stream run through the stdlib
+    # call must give the same joints, bit for bit, and end in the same state.
+    assert mockenv.NV_MAGICCONST == random.NV_MAGICCONST
+    cfg = EnvConfig(disturbance_std=std)
+    logged = [rec.action for rec in run_episode("move_bucket", builtin_plan("move_bucket"), cfg, 21).trajectory]
+    env = MockEnv("move_bucket", cfg)
+    obs = env.reset(21)
+    k = 0
+    while obs.robot.grasping != (True, True):
+        obs, _ = env.step(logged[k])
+        k += 1
+    twin = copy.deepcopy(env.state.noise_rng)
+    joints = copy.deepcopy(env.state.joints)
+    ang = cfg.angular_velocity_scale * cfg.dt
+    bound = NOISE_TRUNCATION * std
+    for act in logged[k : k + 20]:
+        assert env.state.grasping == [True, True]  # every step of the window draws
+        env.step(act)
+        for q, slots in zip(joints, env.index_map.joint_slots):  # arm-major, as drawn
+            for j, slot in enumerate(slots):
+                q[j] = (q[j] + act[slot] * ang) + min(max(twin.normalvariate(0.0, std), -bound), bound)
+        assert env.state.joints == joints
+    assert env.state.noise_rng.getstate() == twin.getstate()
 
 
 def test_no_teleportation_under_random_actions():
