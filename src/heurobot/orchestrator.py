@@ -1,11 +1,13 @@
 """Closed-loop episode runner.
 
-Each iteration the first unfinished sub-task produces one action, the
+Each iteration the first unfinished plan entry produces one action, the
 stabilizer contribution (once its marker has been passed) is added, the sum
 is clamped and handed to the environment; this is the only place an action
 is saturated. Episodes stop on task success, on the step cap, or when every
-sub-task has finished. Markers consume no environment steps: enabling the
-stabilizer and stepping the next sub-task happen within the same iteration.
+entry has finished. The entries keep no state: this loop holds the targets
+``resolve`` evaluated, the current entry, the steps it has taken and
+whether it has finished. Markers consume no environment steps: enabling the
+stabilizer and stepping the next entry happen within the same iteration.
 A plan that cannot be resolved against the first observation, or an error
 inside a step, fails that episode with its ``error`` set; it never ends the
 batch. Each ``StepRecord`` keeps the observation its sub-task saw, so the
@@ -22,7 +24,6 @@ error cross the process boundary.
 from __future__ import annotations
 
 from collections.abc import Callable
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
 
@@ -74,38 +75,41 @@ def run_episode(task_kind: str, plan: Plan, env_config: EnvConfig | None = None,
     env = MockEnv(task_kind, env_config)
     obs = env.reset(seed)
     try:
-        subtasks = resolve(plan, obs)
+        targets = resolve(plan, obs)
     except Exception as e:  # noqa: BLE001 - episode failures must not kill a batch
         return EpisodeResult(task_kind, seed, success=False, steps=0, trajectory=(),
                              subtask_steps=(0,) * len(plan.entries), error=f"resolve: {e}")
+    entries = plan.entries
     zeros = new_action(env.index_map.dim)
 
     stabilizer: ArmStabilizer | None = None
     idx = 0
+    taken = 0  # steps of entries[idx] so far
+    finished = False  # entries[idx] reported done on its last step
     records: list[StepRecord] = []
     done = False
     error: str | None = None
 
     while not done:
-        while idx < len(subtasks):
-            st = subtasks[idx]
-            if isinstance(st, StabilizerOn):  # a plan has at most one, and each entry is passed once
+        while idx < len(entries):
+            entry = entries[idx]
+            if isinstance(entry, StabilizerOn):  # a plan has at most one, and each entry is passed once
                 stabilizer = ArmStabilizer(env.index_map, obs.robot.arm_joints)
-            elif not st.done:
+            elif not finished:
                 break
-            idx += 1
-        if idx >= len(subtasks):
+            idx, taken, finished = idx + 1, 0, False
+        if idx >= len(entries):
             break  # plan exhausted without success
-        st = subtasks[idx]
         try:
-            main, _ = st.step(obs)
+            main, finished = entry.step(obs, targets[idx], taken)
             stab = stabilizer.step(obs) if stabilizer is not None else zeros
             final = clamp(add(main, stab))
-            record = StepRecord(st.label, idx, final, main, stab, obs)
+            record = StepRecord(entry.label, idx, final, main, stab, obs)
             obs, done = env.step(final)
         except Exception as e:  # noqa: BLE001 - episode failures must not kill a batch
             error = f"step {len(records)}: {e}"
             break
+        taken += 1
         records.append(record)
 
     trace = [rec.subtask_index for rec in records]
@@ -114,7 +118,7 @@ def run_episode(task_kind: str, plan: Plan, env_config: EnvConfig | None = None,
         seed=seed,
         success=env.success() and error is None,
         steps=len(records),
-        subtask_steps=tuple(map(trace.count, range(len(subtasks)))),
+        subtask_steps=tuple(map(trace.count, range(len(entries)))),
         trajectory=tuple(records),
         error=error,
     )
@@ -157,6 +161,8 @@ def run_batch(
     job = partial(_episode_job, task_kind, plan, env_config, write)
     jobs = min(jobs, len(seeds))
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # imported here so serial runs never load it
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(job, seeds))
     else:

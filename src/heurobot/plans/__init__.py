@@ -8,7 +8,8 @@ evaluated once against the first observation of an episode: later object
 motion never retargets a sub-task.
 
 ``parse_plan`` checks a document once into frozen entries, defaults filled
-in; ``resolve`` only evaluates targets and builds controllers.
+in. The ``MoveSteps`` and ``MoveTo`` entries are the sub-task controllers
+themselves; ``resolve`` only evaluates their targets for one episode.
 """
 
 from __future__ import annotations
@@ -23,13 +24,12 @@ from ..core import (
     TASK_KINDS,
     TASK_OBJECT,
     TASK_ROBOT,
-    Action,
     ActionIndexMap,
     Observation,
     is_finite_number,
     wrap_angle,
 )
-from ..subtasks import MoveSteps, MoveTo, get_selector
+from ..subtasks import SELECTORS, MoveSteps, MoveTo
 
 MARKER_KIND = "stabilizer_on"
 
@@ -129,8 +129,6 @@ def eval_target(target: float | str, obs: Observation) -> float:
 # ------------------------------------------------------------------ plans
 
 
-# Entries hold names, numbers and indices, never selector callables, so a
-# ``Plan`` pickles to pool workers.
 @dataclass(frozen=True)
 class StabilizerOn:
     """Marker entry: switch the arm stabilizer on at the current pose."""
@@ -139,28 +137,7 @@ class StabilizerOn:
     label: str
 
 
-@dataclass(frozen=True)
-class MoveStepsSpec:
-    kind: ClassVar[str] = "move_steps"
-    label: str
-    action: dict[str, float]  # as written
-    steps: int
-    vector: Action  # ``action`` as an action vector
-
-
-@dataclass(frozen=True)
-class MoveToSpec:
-    kind: ClassVar[str] = "move_to"
-    label: str
-    slot: str
-    selector: str
-    target: float | str  # as written; evaluated by ``resolve``
-    velocity: float
-    threshold: float
-    index: int  # of ``slot`` in the action vector
-
-
-PlanEntry = StabilizerOn | MoveStepsSpec | MoveToSpec
+PlanEntry = StabilizerOn | MoveSteps | MoveTo
 
 
 @dataclass(frozen=True)
@@ -169,10 +146,6 @@ class Plan:
 
     task_kind: str
     entries: tuple[PlanEntry, ...]
-
-    @property
-    def executable_entries(self) -> tuple[PlanEntry, ...]:
-        return tuple(e for e in self.entries if e.kind != MARKER_KIND)
 
 
 def parse_plan(doc: object) -> Plan:
@@ -227,17 +200,18 @@ def parse_plan(doc: object) -> Plan:
                     raise PlanError(f"{where}: unknown action slot {name!r}")
                 if not is_finite_number(value):
                     raise PlanError(f"{where}: action value for {name!r} must be a finite number, got {value!r}")
-            entries.append(MoveStepsSpec(label, action, steps, index_map.build(action)))
+            entries.append(MoveSteps(label, action, steps, index_map.build(action)))
         else:
             slot, selector, target = obj.get("slot"), obj.get("selector"), obj.get("target")
             if slot not in index_map.slots:
                 raise PlanError(f"{where}: unknown action slot {slot!r}")
             if not isinstance(selector, str):
                 raise PlanError(f"{where}: selector must be a string, got {selector!r}")
+            if selector not in SELECTORS:
+                raise PlanError(f"{where}: unknown selector {selector!r}")
             try:
-                get_selector(selector)
                 rule = _parse_target(target)[0] if isinstance(target, str) else None
-            except ValueError as err:
+            except PlanError as err:
                 raise PlanError(f"{where}: {err}") from None
             if "_arm_joint_" in selector and selector not in index_map.slots:  # joint selectors are named as slots
                 raise PlanError(f"{where}: selector {selector!r} names a joint the task's robot does not have")
@@ -253,15 +227,17 @@ def parse_plan(doc: object) -> Plan:
             threshold = obj.get("threshold", DEFAULT_THRESHOLDS.get(slot, DEFAULT_THRESHOLD))
             if not (is_finite_number(threshold) and threshold > 0.0):
                 raise PlanError(f"{where}: threshold must be a positive finite number, got {threshold!r}")
-            entries.append(MoveToSpec(label, slot, selector, target, velocity, threshold, index_map.index_of(slot)))
+            entries.append(
+                MoveTo(label, slot, selector, target, velocity, threshold, index_map.index_of(slot), index_map.dim)
+            )
     return Plan(task_kind, tuple(entries))
 
 
-def resolve(plan: Plan, init_obs: Observation) -> list[MoveSteps | MoveTo | StabilizerOn]:
-    """Instantiate a plan's sub-tasks against the initial observation.
+def resolve(plan: Plan, init_obs: Observation) -> list[float | None]:
+    """Evaluate a plan's targets against an episode's first observation.
 
-    Targets are evaluated exactly once, here; the returned controllers are
-    fresh state machines owned by the calling episode. Markers pass through.
+    Returns one entry per plan entry: the ``MoveTo`` target as a number,
+    ``None`` for every other kind. Targets are evaluated exactly once, here.
     """
     expected = TASK_OBJECT[plan.task_kind]
     if init_obs.object.kind != expected:
@@ -269,26 +245,7 @@ def resolve(plan: Plan, init_obs: Observation) -> list[MoveSteps | MoveTo | Stab
             f"plan for {plan.task_kind!r} got an observation of a {init_obs.object.kind!r} "
             f"(expected {expected!r})"
         )
-    dim = TASK_ROBOT[plan.task_kind].action_dim
-    out: list[MoveSteps | MoveTo | StabilizerOn] = []
-    for entry in plan.entries:
-        if isinstance(entry, MoveStepsSpec):
-            out.append(MoveSteps(fixed_action=entry.vector, num_steps=entry.steps, label=entry.label))
-        elif isinstance(entry, MoveToSpec):
-            out.append(
-                MoveTo(
-                    active_index=entry.index,
-                    target=eval_target(entry.target, init_obs),
-                    selector=get_selector(entry.selector),
-                    action_dim=dim,
-                    velocity=entry.velocity,
-                    threshold=entry.threshold,
-                    label=entry.label,
-                )
-            )
-        else:
-            out.append(entry)
-    return out
+    return [eval_target(e.target, init_obs) if isinstance(e, MoveTo) else None for e in plan.entries]
 
 
 # ------------------------------------------------------------- documents

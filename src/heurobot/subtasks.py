@@ -3,9 +3,12 @@
 Two primitives cover every task script: emit a fixed action for a fixed
 number of steps, or drive one selected scalar of the observation toward a
 target by activating exactly one action component at +/-v until the error
-drops below a threshold. The arm stabilizer applies the same bang-bang rule
-to every arm joint at once and keeps a per-joint settled mask, so a joint
-that drifts back out of its band re-arms.
+drops below a threshold. Each is a frozen plan entry, built once by
+``parse_plan``; its ``step`` keeps no state, because the episode runner
+passes in the evaluated target and the steps the entry has taken so far.
+The arm stabilizer applies the same bang-bang rule to every arm joint at
+once and keeps a per-joint settled mask, so a joint that drifts back out of
+its band re-arms.
 
 Both primitives deliberately emit before they evaluate their done flag, so
 even an already-converged controller produces exactly one action.
@@ -14,15 +17,14 @@ even an already-converged controller produces exactly one action.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, ClassVar
 
-from .core import Action, ActionIndexMap, Observation, one_hot
+from .core import DUAL_ARM, Action, ActionIndexMap, Observation, one_hot
 
 
 class SubTaskError(RuntimeError):
-    """Raised when a sub-task is stepped illegally or cannot read its input."""
+    """Raised when a sub-task cannot read its input from an observation."""
 
 
 Selector = Callable[[Observation], float]
@@ -33,9 +35,13 @@ def _finger_mean(obs: Observation, axis: int) -> float:
     return sum(p[axis] for p in tips) / len(tips)
 
 
+def _arm_joint(arm: int, joint: int) -> Selector:
+    return lambda obs: obs.robot.arm_joints[arm][joint]
+
+
 # Named scalar accessors available to plan documents. Finger selectors read
 # the midpoint of the fingertips, which collapses to the single fingertip on
-# one-armed robots.
+# one-armed robots. Joint selectors are named as the joint's action slot.
 SELECTORS: dict[str, Selector] = {
     "platform_x": lambda obs: obs.robot.platform_x,
     "platform_y": lambda obs: obs.robot.platform_y,
@@ -46,98 +52,58 @@ SELECTORS: dict[str, Selector] = {
     "finger_height": lambda obs: _finger_mean(obs, 2),
     "object_x": lambda obs: obs.object.object_pose[0],
     "object_y": lambda obs: obs.object.object_pose[1],
+    **{
+        f"{name}_arm_joint_{joint}": _arm_joint(arm, joint)
+        for arm, name in enumerate(DUAL_ARM.arms)
+        for joint in range(DUAL_ARM.joints_per_arm)
+    },
 }
 
-_ARM_JOINT_RE = re.compile(r"^(left|right)_arm_joint_(\d+)$")
 
-
-def arm_joint_selector(arm: int, joint: int) -> Selector:
-    def read(obs: Observation) -> float:
-        joints = obs.robot.arm_joints
-        if arm >= len(joints) or joint >= len(joints[arm]):
-            raise SubTaskError(f"arm joint ({arm}, {joint}) not present in observation")
-        return joints[arm][joint]
-
-    return read
-
-
-def get_selector(name: str) -> Selector:
-    """Resolve a selector name; raises ValueError for unknown names."""
-    if name in SELECTORS:
-        return SELECTORS[name]
-    m = _ARM_JOINT_RE.match(name)
-    if m:
-        arm = 0 if m.group(1) == "left" else 1
-        return arm_joint_selector(arm, int(m.group(2)))
-    raise ValueError(f"unknown selector {name!r}")
-
-
-@dataclass
+# Entries hold names, numbers and indices, never selector callables, so a
+# ``Plan`` of them pickles to pool workers.
+@dataclass(frozen=True)
 class MoveSteps:
-    """Emit a fixed action vector for a fixed number of steps."""
+    """Emit a fixed action vector for ``steps`` steps."""
 
-    fixed_action: Action
-    num_steps: int
-    label: str = "move_steps"
-    steps_taken: int = 0
+    kind: ClassVar[str] = "move_steps"
+    label: str
+    action: dict[str, float]  # as written
+    steps: int
+    vector: Action  # ``action`` as an action vector
 
-    def __post_init__(self) -> None:
-        if self.num_steps < 1:
-            raise ValueError(f"{self.label}: num_steps must be >= 1, got {self.num_steps}")
-
-    @property
-    def done(self) -> bool:
-        return self.steps_taken >= self.num_steps
-
-    def step(self, obs: Observation) -> tuple[Action, bool]:
-        if self.done:
-            raise SubTaskError(f"{self.label}: stepped after completion")
-        self.steps_taken += 1
-        return self.fixed_action, self.done
+    def step(self, obs: Observation, target: None, taken: int) -> tuple[Action, bool]:
+        """The action for step ``taken + 1`` of this entry, and whether it is the last."""
+        return self.vector, taken + 1 >= self.steps
 
 
-@dataclass
+@dataclass(frozen=True)
 class MoveTo:
     """Drive one observed scalar to a target with a bang-bang one-hot action.
 
-    The emitted action has exactly one nonzero component, at ``active_index``,
-    with magnitude ``velocity``; its sign follows the sign of the remaining
+    The emitted action has exactly one nonzero component, at ``index``, with
+    magnitude ``velocity``; its sign follows the sign of the remaining
     distance. Convergence (|target - x| < threshold) is checked after the
     emission, mirroring the emit-then-update loop order.
     """
 
-    active_index: int
-    target: float
-    selector: Selector
-    action_dim: int
+    kind: ClassVar[str] = "move_to"
+    label: str
+    slot: str
+    selector: str  # a key of ``SELECTORS``
+    target: float | str  # as written; ``step`` takes it evaluated
     velocity: float
     threshold: float
-    label: str = "move_to"
-    done: bool = False
+    index: int  # of ``slot`` in the action vector
+    dim: int  # of the action vector
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.active_index < self.action_dim:
-            raise ValueError(
-                f"{self.label}: active_index {self.active_index} out of range for dim {self.action_dim}"
-            )
-        if not 0.0 < self.velocity <= 1.0:
-            raise ValueError(f"{self.label}: velocity must be in (0, 1], got {self.velocity}")
-        if self.threshold <= 0.0:
-            raise ValueError(f"{self.label}: threshold must be positive, got {self.threshold}")
-
-    def distance(self, obs: Observation) -> float:
-        x = self.selector(obs)
+    def step(self, obs: Observation, target: float, taken: int) -> tuple[Action, bool]:
+        """One action toward ``target``, and whether the scalar was already inside the band."""
+        x = SELECTORS[self.selector](obs)
         if not math.isfinite(x):
             raise SubTaskError(f"{self.label}: selector returned non-finite value {x!r}")
-        return self.target - x
-
-    def step(self, obs: Observation) -> tuple[Action, bool]:
-        if self.done:
-            raise SubTaskError(f"{self.label}: stepped after completion")
-        d = self.distance(obs)
-        act = one_hot(self.action_dim, self.active_index, self.velocity if d > 0 else -self.velocity)
-        self.done = abs(d) < self.threshold
-        return act, self.done
+        d = target - x
+        return one_hot(self.dim, self.index, self.velocity if d > 0 else -self.velocity), abs(d) < self.threshold
 
 
 STABILIZER_GAIN = 0.2  # at step 0, then decays geometrically

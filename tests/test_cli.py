@@ -19,6 +19,13 @@ def run_dir_files(path):
     return sorted(p.name for p in path.iterdir())
 
 
+def test_importing_the_cli_loads_no_process_pool():
+    env = dict(os.environ, PYTHONPATH=str(Path(heurobot.__file__).parents[1]))
+    code = "import sys, heurobot.cli; print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout == "[]\n"
+
+
 def test_parse_seeds():
     assert parse_seeds("5") == [5]
     assert parse_seeds("2..4") == [2, 3, 4]

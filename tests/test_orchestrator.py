@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import functools
 import os
@@ -244,7 +245,7 @@ def test_batch_never_starts_more_workers_than_seeds(monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(orchestrator, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     run_batch("open_cabinet_door", idle_plan(), None, [1], jobs=64)
     assert started == []
     batch = run_batch("open_cabinet_door", idle_plan(), None, [1, 2, 3], jobs=64)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import random
@@ -5,15 +6,7 @@ import random
 import pytest
 
 from heurobot.core import DUAL_ARM, SINGLE_ARM, ActionIndexMap, RobotConfig
-from heurobot.subtasks import (
-    STABILIZER_GAIN,
-    ArmStabilizer,
-    MoveSteps,
-    MoveTo,
-    SubTaskError,
-    arm_joint_selector,
-    get_selector,
-)
+from heurobot.subtasks import SELECTORS, STABILIZER_GAIN, ArmStabilizer, MoveSteps, MoveTo, SubTaskError
 
 from helpers import make_obs, robot_state
 
@@ -22,41 +15,38 @@ def obs_at(x):
     return make_obs(robot=robot_state(platform_x=x))
 
 
-def platform_x(obs):
-    return obs.robot.platform_x
+def move_steps(vector, steps):
+    return MoveSteps("move_steps", {}, steps, vector)
+
+
+def move_to(target, index, dim, velocity, threshold, selector="platform_x"):
+    return MoveTo("move_to", "platform_x", selector, target, velocity, threshold, index, dim)
+
+
+def run_entry(entry, target, observe):
+    """Step ``entry`` until it reports done; ``observe(actions so far)`` gives each observation."""
+    actions, done = [], False
+    while not done:
+        act, done = entry.step(observe(actions), target, len(actions))
+        actions.append(act)
+    return actions
 
 
 # --------------------------------------------------------------- MoveSteps
 
 
 def test_move_steps_emits_action_n_times_then_done():
-    st = MoveSteps(fixed_action=(0.5, 0.0), num_steps=3)
+    st = move_steps((0.5, 0.0), 3)
     obs = obs_at(0.0)
-    assert st.step(obs) == ((0.5, 0.0), False)
-    assert st.step(obs) == ((0.5, 0.0), False)
-    act, done = st.step(obs)
-    assert act == (0.5, 0.0) and done
-    assert st.done
+    assert st.step(obs, None, 0) == ((0.5, 0.0), False)
+    assert st.step(obs, None, 1) == ((0.5, 0.0), False)
+    assert st.step(obs, None, 2) == ((0.5, 0.0), True)
 
 
 def test_move_steps_single_step():
-    st = MoveSteps(fixed_action=(0.1,), num_steps=1)
-    act, done = st.step(obs_at(0.0))
+    st = move_steps((0.1,), 1)
+    act, done = st.step(obs_at(0.0), None, 0)
     assert act == (0.1,) and done
-
-
-def test_move_steps_overstepping_is_an_error():
-    st = MoveSteps(fixed_action=(0.0,), num_steps=5)
-    obs = obs_at(0.0)
-    for _ in range(5):
-        st.step(obs)
-    with pytest.raises(SubTaskError):
-        st.step(obs)
-
-
-def test_move_steps_rejects_bad_count():
-    with pytest.raises(ValueError):
-        MoveSteps(fixed_action=(0.0,), num_steps=0)
 
 
 def test_move_steps_emission_is_constant():
@@ -66,58 +56,43 @@ def test_move_steps_emission_is_constant():
         dim = rng.randint(1, 22)
         a = tuple(rng.uniform(-1, 1) for _ in range(dim))
         n = rng.randint(1, 50)
-        st = MoveSteps(fixed_action=a, num_steps=n)
-        outputs = [st.step(obs)[0] for _ in range(n)]
-        assert all(out == a for out in outputs)
+        outputs = run_entry(move_steps(a, n), None, lambda _: obs)
+        assert outputs == [a] * n
 
 
 # ------------------------------------------------------------------ MoveTo
 
 
 def test_move_to_positive_distance_emits_plus_v():
-    mt = MoveTo(active_index=0, target=1.0, selector=platform_x, action_dim=2, velocity=0.5, threshold=0.1)
-    act, done = mt.step(obs_at(0.2))
+    mt = move_to(1.0, 0, 2, 0.5, 0.1)
+    act, done = mt.step(obs_at(0.2), 1.0, 0)
     assert act == (0.5, 0.0) and not done
 
 
 def test_move_to_within_threshold_emits_minus_v_and_finishes():
-    mt = MoveTo(active_index=0, target=1.0, selector=platform_x, action_dim=2, velocity=0.5, threshold=0.1)
-    act, done = mt.step(obs_at(1.05))
+    mt = move_to(1.0, 0, 2, 0.5, 0.1)
+    act, done = mt.step(obs_at(1.05), 1.0, 0)
     assert act == (-0.5, 0.0) and done
 
 
 def test_move_to_exactly_on_target():
     # d = 0 takes the else branch: one -v emission, then immediately done
-    mt = MoveTo(active_index=0, target=1.0, selector=platform_x, action_dim=3, velocity=0.4, threshold=0.05)
-    act, done = mt.step(obs_at(1.0))
+    mt = move_to(1.0, 0, 3, 0.4, 0.05)
+    act, done = mt.step(obs_at(1.0), 1.0, 0)
     assert act == (-0.4, 0.0, 0.0) and done
 
 
-def test_move_to_done_step_is_an_error():
-    mt = MoveTo(active_index=0, target=0.0, selector=platform_x, action_dim=1, velocity=0.5, threshold=0.1)
-    mt.step(obs_at(0.0))
-    with pytest.raises(SubTaskError):
-        mt.step(obs_at(0.0))
-
-
-def test_move_to_validation():
-    with pytest.raises(ValueError):
-        MoveTo(active_index=5, target=0.0, selector=platform_x, action_dim=3, velocity=0.5, threshold=0.01)
-    with pytest.raises(ValueError):
-        MoveTo(active_index=0, target=0.0, selector=platform_x, action_dim=3, velocity=0.0, threshold=0.01)
-    with pytest.raises(ValueError):
-        MoveTo(active_index=0, target=0.0, selector=platform_x, action_dim=3, velocity=1.5, threshold=0.01)
-    with pytest.raises(ValueError):
-        MoveTo(active_index=0, target=0.0, selector=platform_x, action_dim=3, velocity=0.5, threshold=0.0)
-    with pytest.raises(TypeError):  # the plan parser fills in defaults; the constructor has none
-        MoveTo(active_index=0, target=0.0, selector=platform_x, action_dim=3)
+def test_move_to_steps_toward_the_target_it_is_given():
+    # the as-written ``target`` is for ``resolve``; ``step`` uses the evaluated one
+    mt = move_to("handle_x", 0, 1, 0.5, 0.1)
+    assert mt.step(obs_at(0.0), -1.0, 0) == ((-0.5,), False)
+    assert mt.step(obs_at(0.0), 1.0, 0) == ((0.5,), False)
 
 
 def test_move_to_nonfinite_selector_output_is_an_error():
-    mt = MoveTo(active_index=0, target=0.0, selector=lambda obs: float("nan"), action_dim=1,
-                velocity=0.5, threshold=0.01)
+    mt = move_to(0.0, 0, 1, 0.5, 0.01)
     with pytest.raises(SubTaskError):
-        mt.step(obs_at(0.0))
+        mt.step(obs_at(float("nan")), 0.0, 0)
 
 
 def _euler_loop_oracle(x0, xt, v, t, delta):
@@ -135,16 +110,13 @@ def _euler_loop_oracle(x0, xt, v, t, delta):
 
 
 def _run_move_to(x0, xt, v, t, delta, max_steps=100000):
-    mt = MoveTo(active_index=0, target=xt, selector=platform_x, action_dim=1, velocity=v, threshold=t)
-    x = x0
-    steps = 0
-    while not mt.done:
-        act, _ = mt.step(obs_at(x))
-        assert act[0] in (v, -v)
-        steps += 1
-        x = x + act[0] * delta
-        assert steps <= max_steps
-    return steps
+    def observe(actions):
+        assert len(actions) <= max_steps
+        return obs_at(x0 + sum(act[0] for act in actions) * delta)
+
+    actions = run_entry(move_to(xt, 0, 1, v, t), xt, observe)
+    assert all(act[0] in (v, -v) for act in actions)
+    return len(actions)
 
 
 def test_move_to_random_walk_convergence_bound():
@@ -176,14 +148,14 @@ def test_move_to_every_emission_is_one_hot():
         dim = rng.randint(2, 22)
         idx = rng.randint(0, dim - 1)
         v = rng.uniform(0.1, 1.0)
-        mt = MoveTo(active_index=idx, target=rng.uniform(-1, 1), selector=platform_x,
-                    action_dim=dim, velocity=v, threshold=0.05)
-        x = rng.uniform(-1, 1)
-        while not mt.done:
-            act, _ = mt.step(obs_at(x))
+        target = rng.uniform(-1, 1)
+        x0 = rng.uniform(-1, 1)
+        actions = run_entry(
+            move_to(target, idx, dim, v, 0.05), target, lambda acts: obs_at(x0 + sum(a[idx] for a in acts) * 0.02)
+        )
+        for act in actions:
             assert abs(act[idx]) == v
             assert all(val == 0.0 for i, val in enumerate(act) if i != idx)
-            x = x + act[idx] * 0.02
 
 
 # --------------------------------------------------------------- selectors
@@ -191,10 +163,9 @@ def test_move_to_every_emission_is_one_hot():
 
 def test_selector_registry():
     obs = make_obs(robot=robot_state(platform_x=1.5, platform_yaw=0.3))
-    assert get_selector("platform_x")(obs) == 1.5
-    assert get_selector("platform_yaw")(obs) == 0.3
-    with pytest.raises(ValueError):
-        get_selector("warp_drive")
+    assert SELECTORS["platform_x"](obs) == 1.5
+    assert SELECTORS["platform_yaw"](obs) == 0.3
+    assert "warp_drive" not in SELECTORS
 
 
 def test_finger_selectors_average_over_arms():
@@ -203,17 +174,23 @@ def test_finger_selectors_average_over_arms():
         finger_positions=((0.3, 0.2, 0.5), (0.5, -0.2, 0.7)),
     )
     obs = make_obs(robot=robot)
-    assert get_selector("finger_x")(obs) == pytest.approx(0.4)
-    assert get_selector("finger_y")(obs) == pytest.approx(0.0)
-    assert get_selector("finger_height")(obs) == pytest.approx(0.6)
+    assert SELECTORS["finger_x"](obs) == pytest.approx(0.4)
+    assert SELECTORS["finger_y"](obs) == pytest.approx(0.0)
+    assert SELECTORS["finger_height"](obs) == pytest.approx(0.6)
 
 
 def test_arm_joint_selector_names():
-    robot = robot_state(arm_joints=((0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8),))
+    robot = robot_state(arm_joints=((0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8), (1.1, 1.2, 1.3, 1.4, 1.5, 1.6, 1.7, 1.8)))
     obs = make_obs(robot=robot)
-    assert get_selector("left_arm_joint_3")(obs) == 0.4
-    with pytest.raises(SubTaskError):
-        get_selector("right_arm_joint_0")(obs)
+    assert SELECTORS["left_arm_joint_3"](obs) == 0.4
+    assert SELECTORS["right_arm_joint_0"](obs) == 1.1
+
+
+def test_joint_selectors_are_the_dual_arm_joint_slots():
+    m = ActionIndexMap.for_robot(DUAL_ARM)
+    joint_slot_names = {m.slots[i] for arm in m.joint_slots for i in arm}
+    assert {name for name in SELECTORS if "_arm_joint_" in name} == joint_slot_names
+    assert len(joint_slot_names) == 16
 
 
 # -------------------------------------------------------------- stabilizer
@@ -332,28 +309,30 @@ class CorrectorBankOracle:
         self.steps_taken = 0
         self.correctors = [
             MoveTo(
-                active_index=index_map.index_of(f"{index_map.robot.arms[arm]}_arm_joint_{joint}"),
+                label=f"stabilize_{slot}",
+                slot=slot,
+                selector=slot,
                 target=angle,
-                selector=arm_joint_selector(arm, joint),
-                action_dim=index_map.dim,
                 velocity=velocity,
                 threshold=threshold,
+                index=index_map.index_of(slot),
+                dim=index_map.dim,
             )
             for arm, pose in enumerate(reference)
             for joint, angle in enumerate(pose)
+            for slot in [f"{index_map.robot.arms[arm]}_arm_joint_{joint}"]
         ]
+        self.done = [False] * len(self.correctors)
 
     def step(self, obs):
         g = max(self.velocity * self.decay**self.steps_taken, self.min_velocity)
         out = [0.0] * self.dim
-        for mt in self.correctors:
-            d = mt.distance(obs)
-            if mt.done and abs(d) >= mt.threshold:
-                mt.done = False
-            if not mt.done:
-                mt.velocity = g
-                act, _ = mt.step(obs)
-                out[mt.active_index] += act[mt.active_index]
+        for k, mt in enumerate(self.correctors):
+            act, inside = dataclasses.replace(mt, velocity=g).step(obs, mt.target, 0)
+            if self.done[k] and inside:
+                continue  # converged and still inside the band
+            self.done[k] = inside  # re-arms once the joint drifts out
+            out[mt.index] += act[mt.index]
         self.steps_taken += 1
         return tuple(out)
 
