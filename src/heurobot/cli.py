@@ -13,7 +13,6 @@ The output directory defaults to $HEUROBOT_OUT, then ``runs``.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import os
@@ -116,7 +115,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         return 1
     rows = report_rows(summaries)
     if args.format == "machine":
-        payload = {"tasks": [dataclasses.asdict(row) for row in rows], "skipped": skipped}
+        payload = {"tasks": [row._asdict() for row in rows], "skipped": skipped}
         print(json.dumps(payload, sort_keys=True, indent=2))
     else:
         print(format_report_table(rows))

@@ -19,7 +19,6 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 TASK_KINDS = (
@@ -93,8 +92,27 @@ def wrap_angle(angle: float) -> float:
     return wrapped
 
 
-@dataclass(frozen=True, slots=True)
-class RobotConfig:
+class CheckedRecord:
+    """Base of a named-tuple record whose ``__new__`` checks its fields.
+
+    ``NamedTuple._make``, and ``_replace`` through it, build the tuple
+    without calling ``__new__``; here they go through the constructor, so
+    every copy is checked. Pickle and ``copy`` already call ``__new__``.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class _RobotConfigFields(NamedTuple):
+    arms: tuple[str, ...] = ("left",)
+    joints_per_arm: int = 8
+
+
+class RobotConfig(CheckedRecord, _RobotConfigFields):
     """Degree-of-freedom layout of a mobile manipulator.
 
     ``arms`` is ``("left",)`` or ``("left", "right")``: joint selectors read
@@ -102,14 +120,15 @@ class RobotConfig:
     must be distinct.
     """
 
-    arms: tuple[str, ...] = ("left",)
-    joints_per_arm: int = 8
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.arms not in (("left",), ("left", "right")):
             raise ValueError(f"invalid arm set {self.arms!r}; expected ('left',) or ('left', 'right')")
         if self.joints_per_arm <= 0:
             raise ValueError("joints_per_arm must be positive")
+        return self
 
     @property
     def action_dim(self) -> int:
@@ -129,20 +148,29 @@ TASK_ROBOT = {
 }
 
 
-@dataclass(frozen=True)
 class ActionIndexMap:
     """Bijection between named command slots and action vector indices.
 
     Slot names: the four platform slots, then per arm ``<arm>_arm_joint_<j>``
     followed by ``<arm>_fingers`` (positive = close, negative = open).
+    ``joint_slots`` holds each arm's joint slot indices and
+    ``finger_slots`` each arm's finger slot index.
     """
 
-    robot: RobotConfig
-    slots: tuple[str, ...]
-    _index: dict[str, int] = field(repr=False, compare=False, default_factory=dict)
-    # per arm: the joint slot indices and the finger slot index
-    joint_slots: tuple[tuple[int, ...], ...] = field(repr=False, compare=False, default=())
-    finger_slots: tuple[int, ...] = field(repr=False, compare=False, default=())
+    __slots__ = ("robot", "slots", "joint_slots", "finger_slots", "_index")
+
+    def __init__(
+        self,
+        robot: RobotConfig,
+        slots: tuple[str, ...],
+        joint_slots: tuple[tuple[int, ...], ...],
+        finger_slots: tuple[int, ...],
+    ) -> None:
+        self.robot = robot
+        self.slots = slots
+        self.joint_slots = joint_slots
+        self.finger_slots = finger_slots
+        self._index = {name: i for i, name in enumerate(slots)}
 
     @classmethod
     def for_robot(cls, robot: RobotConfig) -> "ActionIndexMap":
@@ -153,9 +181,7 @@ class ActionIndexMap:
             names.extend(f"{arm}_arm_joint_{j}" for j in range(robot.joints_per_arm))
             finger_slots.append(len(names))
             names.append(f"{arm}_fingers")
-        m = cls(robot=robot, slots=tuple(names), joint_slots=tuple(joint_slots), finger_slots=tuple(finger_slots))
-        m._index.update({name: i for i, name in enumerate(names)})
-        return m
+        return cls(robot, tuple(names), tuple(joint_slots), tuple(finger_slots))
 
     @property
     def dim(self) -> int:
@@ -203,14 +229,42 @@ class ObjectAttributes(NamedTuple):
     target_point: Point2 | None = None
 
 
-@dataclass(frozen=True, slots=True)
+_set_field = object.__setattr__  # Observation's ``object`` parameter shadows the builtin
+
+
 class Observation:
     """Snapshot handed to sub-task controllers, one per environment step.
 
-    Not a tuple: ``MockEnv.step`` returns ``(obs, done)`` and the benchmark
+    Immutable: assigning or deleting a field raises ``AttributeError``. Not
+    a tuple: ``MockEnv.step`` returns ``(obs, done)`` and the benchmark
     tracer tells that from ``reset``'s bare observation by ``isinstance(result, tuple)``.
     """
 
-    robot: RobotState
-    object: ObjectAttributes
-    step_index: int
+    __slots__ = ("robot", "object", "step_index")
+
+    def __init__(self, robot: RobotState, object: ObjectAttributes, step_index: int) -> None:
+        _set_field(self, "robot", robot)
+        _set_field(self, "object", object)
+        _set_field(self, "step_index", step_index)
+
+    def _refuse(self, name: str, *value: object) -> None:
+        raise AttributeError(f"cannot change field {name!r}: an Observation is immutable")
+
+    __setattr__ = __delattr__ = _refuse
+
+    def _values(self) -> tuple[RobotState, ObjectAttributes, int]:
+        return self.robot, self.object, self.step_index
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        return "Observation(robot={!r}, object={!r}, step_index={!r})".format(*self._values())
+
+    def __reduce__(self):
+        return Observation, self._values()

@@ -16,13 +16,14 @@ from __future__ import annotations
 import math
 import random
 from collections.abc import Sequence
-from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 from .core import (
     TASK_OBJECT,
     TASK_ROBOT,
     Action,
     ActionIndexMap,
+    CheckedRecord,
     ObjectAttributes,
     Observation,
     Point3,
@@ -73,10 +74,7 @@ _SPAWN_FINGER_Z = PLATFORM_SPAWN_HEIGHT + READY_FINGER_RISE
 # ---------------------------------------------------------------- config
 
 
-@dataclass(frozen=True, slots=True)
-class EnvConfig:
-    """Tunables of the mock environment; defaults are the reference setup."""
-
+class _EnvConfigFields(NamedTuple):
     dt: float = 0.05  # s per step
     linear_velocity_scale: float = 1.0  # m/s per unit command
     angular_velocity_scale: float = 1.0  # rad/s per unit command
@@ -90,41 +88,50 @@ class EnvConfig:
     max_steps: int = 200
     rng_seed: int = 0
 
-    def __post_init__(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.type == "int":  # annotations are strings: postponed evaluation
+
+class EnvConfig(CheckedRecord, _EnvConfigFields):
+    """Tunables of the mock environment; defaults are the reference setup.
+
+    A field whose default is an int takes an integer, every other field a
+    finite number.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        for name, value in zip(self._fields, self):
+            if type(self._field_defaults[name]) is int:
                 if type(value) is not int:
-                    raise ValueError(f"{f.name} must be an integer, got {value!r}")
+                    raise ValueError(f"{name} must be an integer, got {value!r}")
             elif not is_finite_number(value):
-                raise ValueError(f"{f.name} must be a finite number, got {value!r}")
-            elif f.name == "disturbance_std":
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
+            elif name == "disturbance_std":
                 if value < 0:
                     raise ValueError("disturbance_std must be non-negative")
             elif value <= 0:
-                raise ValueError(f"{f.name} must be positive")
+                raise ValueError(f"{name} must be positive")
         if self.max_steps < 1:
             raise ValueError("max_steps must be >= 1")
+        return self
 
     @classmethod
     def from_mapping(cls, data: dict) -> "EnvConfig":
         if not isinstance(data, dict):
             raise ValueError(f"config must be a JSON object, got {type(data).__name__}")
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
+        unknown = set(data) - set(cls._fields)
         if unknown:
             raise ValueError(f"unknown environment config keys: {sorted(unknown)}")
         return cls(**data)
 
     def to_mapping(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return self._asdict()
 
 
 # ---------------------------------------------------------------- layout
 
 
-@dataclass(frozen=True, slots=True)
-class Layout:
+class Layout(NamedTuple):
     """Episode geometry drawn at reset. Fields unused by a task stay None."""
 
     robot_xy: tuple[float, float]
@@ -213,8 +220,7 @@ def _sample_layout(task_kind: str, rng: random.Random) -> Layout:
 # ---------------------------------------------------------------- state
 
 
-@dataclass
-class Carry:
+class Carry(NamedTuple):
     """Rigid offset of a held object, recorded in the mid-finger frame."""
 
     local_x: float
@@ -223,7 +229,6 @@ class Carry:
     yaw_off: float
 
 
-@dataclass
 class EnvState:
     """All mutable episode state; every observation is built from it.
 
@@ -232,20 +237,37 @@ class EnvState:
     layout's cabinet pose; only their ``articulation`` moves.
     """
 
-    layout: Layout
-    noise_rng: random.Random
-    platform: list[float]  # x, y, height (m), yaw (rad)
-    joints: list[list[float]]  # rad, one list per arm
-    fingers: tuple[Point3, ...]  # fingertips at the current pose, one per arm
-    grasping: list[bool]  # per arm
-    open_counts: list[int]  # per arm, consecutive opening commands while grasping
-    object_xy: tuple[float, float]
-    object_yaw: float
-    object_z: float = 0.0  # bucket base above ground
-    articulation: float = 0.0
-    carry: Carry | None = None  # set exactly while every arm of a bucket or chair env grasps
-    step: int = 0
-    done: bool = False
+    __slots__ = (
+        "layout", "noise_rng", "platform", "joints", "fingers", "grasping", "open_counts",
+        "object_xy", "object_yaw", "object_z", "articulation", "carry", "step", "done",
+    )
+
+    def __init__(
+        self,
+        layout: Layout,
+        noise_rng: random.Random,
+        platform: list[float],
+        joints: list[list[float]],
+        fingers: tuple[Point3, ...],
+        grasping: list[bool],
+        open_counts: list[int],
+        object_xy: tuple[float, float],
+        object_yaw: float,
+    ) -> None:
+        self.layout = layout
+        self.noise_rng = noise_rng
+        self.platform = platform  # x, y, height (m), yaw (rad)
+        self.joints = joints  # rad, one list per arm
+        self.fingers = fingers  # fingertips at the current pose, one per arm
+        self.grasping = grasping  # per arm
+        self.open_counts = open_counts  # per arm, consecutive opening commands while grasping
+        self.object_xy = object_xy
+        self.object_yaw = object_yaw
+        self.object_z = 0.0  # bucket base above ground
+        self.articulation = 0.0
+        self.carry: Carry | None = None  # set exactly while every arm of a bucket or chair env grasps
+        self.step = 0
+        self.done = False
 
 
 class MockEnv:

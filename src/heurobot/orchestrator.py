@@ -24,8 +24,8 @@ error cross the process boundary.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, replace
 from functools import partial
+from typing import NamedTuple
 
 from .core import Action, Observation, add, clamp, new_action
 from .mockenv import EnvConfig, MockEnv
@@ -33,8 +33,7 @@ from .plans import Plan, StabilizerOn, resolve
 from .subtasks import ArmStabilizer
 
 
-@dataclass(frozen=True, slots=True)
-class StepRecord:
+class StepRecord(NamedTuple):
     """One trajectory line: the observation a sub-task saw and what it did."""
 
     label: str
@@ -45,8 +44,7 @@ class StepRecord:
     obs: Observation  # the snapshot the sub-task stepped on, before the action
 
 
-@dataclass(frozen=True, slots=True)
-class EpisodeResult:
+class EpisodeResult(NamedTuple):
     task_kind: str
     seed: int
     success: bool
@@ -61,8 +59,7 @@ class EpisodeResult:
         return tuple(rec.subtask_index for rec in self.trajectory)
 
 
-@dataclass(frozen=True, slots=True)
-class BatchResult:
+class BatchResult(NamedTuple):
     task_kind: str
     results: tuple[EpisodeResult, ...]
     success_rate: float
@@ -131,7 +128,7 @@ def _episode_job(
     if write is None:
         return result
     write(result)
-    return replace(result, trajectory=())
+    return result._replace(trajectory=())
 
 
 def run_batch(
@@ -149,7 +146,7 @@ def run_batch(
     ``trajectory``. ``write`` must be picklable when ``jobs > 1``; an error it
     raises ends the batch. Without ``write`` at ``jobs > 1``, each result
     crosses the process boundary with its whole trajectory, every step's
-    observation included (73,772 pickled bytes for the 94-step
+    observation included (73,111 pickled bytes for the 94-step
     ``move_bucket`` seed 3). At most ``len(seeds)`` workers are started, and a
     single worker runs in this process.
     """

@@ -17,8 +17,7 @@ even an already-converged controller produces exactly one action.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, ClassVar
+from typing import Callable, NamedTuple
 
 from .core import DUAL_ARM, Action, ActionIndexMap, Observation, one_hot
 
@@ -62,11 +61,10 @@ SELECTORS: dict[str, Selector] = {
 
 # Entries hold names, numbers and indices, never selector callables, so a
 # ``Plan`` of them pickles to pool workers.
-@dataclass(frozen=True)
-class MoveSteps:
+class MoveSteps(NamedTuple):
     """Emit a fixed action vector for ``steps`` steps."""
 
-    kind: ClassVar[str] = "move_steps"
+    kind = "move_steps"  # a class attribute, not a field
     label: str
     action: dict[str, float]  # as written
     steps: int
@@ -77,8 +75,7 @@ class MoveSteps:
         return self.vector, taken + 1 >= self.steps
 
 
-@dataclass(frozen=True)
-class MoveTo:
+class MoveTo(NamedTuple):
     """Drive one observed scalar to a target with a bang-bang one-hot action.
 
     The emitted action has exactly one nonzero component, at ``index``, with
@@ -87,7 +84,7 @@ class MoveTo:
     emission, mirroring the emit-then-update loop order.
     """
 
-    kind: ClassVar[str] = "move_to"
+    kind = "move_to"  # a class attribute, not a field
     label: str
     slot: str
     selector: str  # a key of ``SELECTORS``
@@ -112,7 +109,6 @@ STABILIZER_MIN_GAIN = 0.02  # floor of the decayed gain
 STABILIZER_THRESHOLD = 0.01  # rad, per joint
 
 
-@dataclass
 class ArmStabilizer:
     """Holds the arm joints at a reference pose with one vector bang-bang.
 
@@ -125,23 +121,24 @@ class ArmStabilizer:
     joint slots.
     """
 
-    index_map: ActionIndexMap
-    reference: tuple[tuple[float, ...], ...]
-    steps_taken: int = 0
+    __slots__ = ("index_map", "reference", "steps_taken", "_joints", "_settled")
 
-    def __post_init__(self) -> None:
-        robot = self.index_map.robot
-        if len(self.reference) != len(robot.arms) or any(len(r) == 0 for r in self.reference):
+    def __init__(self, index_map: ActionIndexMap, reference: tuple[tuple[float, ...], ...]) -> None:
+        robot = index_map.robot
+        if len(reference) != len(robot.arms) or any(len(r) == 0 for r in reference):
             raise ValueError("stabilizer reference must provide a pose for every arm")
-        for arm, pose in enumerate(self.reference):
+        for arm, pose in enumerate(reference):
             if len(pose) != robot.joints_per_arm:
                 raise ValueError(
                     f"reference pose for arm {arm} has {len(pose)} joints, expected {robot.joints_per_arm}"
                 )
+        self.index_map = index_map
+        self.reference = reference
+        self.steps_taken = 0
         # per joint, in arm-major order: (arm, joint, action slot, target); _settled[k] is joint k's mask bit
         self._joints = tuple(
             (arm, joint, slot, angle)
-            for arm, (pose, slots) in enumerate(zip(self.reference, self.index_map.joint_slots))
+            for arm, (pose, slots) in enumerate(zip(reference, index_map.joint_slots))
             for joint, (angle, slot) in enumerate(zip(pose, slots))
         )
         self._settled = [False] * len(self._joints)

@@ -9,7 +9,7 @@ determinism checks can diff them directly.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import is_finite_number, loads_json
 from .mockenv import EnvConfig
@@ -139,8 +139,7 @@ def read_summary(path) -> dict:
     return doc
 
 
-@dataclass(frozen=True, slots=True)
-class ReportRow:
+class ReportRow(NamedTuple):
     task: str
     episodes: int
     successes: int

@@ -26,6 +26,17 @@ def test_importing_the_cli_loads_no_process_pool():
     assert proc.stdout == "[]\n"
 
 
+def test_importing_the_cli_loads_no_introspection_modules():
+    # dataclasses brings in inspect, ast and dis; the records are named tuples and slot classes
+    env = dict(os.environ, PYTHONPATH=str(Path(heurobot.__file__).parents[1]))
+    code = (
+        "import sys; before = set(sys.modules); import heurobot.cli; "
+        "print(sorted({'dataclasses', 'inspect', 'ast', 'dis'} & (set(sys.modules) - before)))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout == "[]\n"
+
+
 def test_parse_seeds():
     assert parse_seeds("5") == [5]
     assert parse_seeds("2..4") == [2, 3, 4]

@@ -1,4 +1,5 @@
 import math
+import pickle
 import random
 
 import pytest
@@ -117,6 +118,17 @@ def test_robot_config_rejects_arm_sets_the_stack_cannot_serve(arms):
     # duplicate arms would share slot names; a lone right arm would be read at index 1
     with pytest.raises(ValueError, match="invalid arm set"):
         RobotConfig(arms=arms)
+
+
+def test_robot_config_copies_are_checked_too():
+    # a named tuple's _replace and _make skip __new__ unless routed through it
+    with pytest.raises(ValueError, match="invalid arm set"):
+        DUAL_ARM._replace(arms=("right", "left"))
+    with pytest.raises(ValueError, match="invalid arm set"):
+        RobotConfig._make([("left", "left"), 8])
+    with pytest.raises(ValueError, match="joints_per_arm"):
+        SINGLE_ARM._replace(joints_per_arm=0)
+    assert pickle.loads(pickle.dumps(DUAL_ARM)) == DUAL_ARM
 
 
 @pytest.mark.parametrize("config", [SINGLE_ARM, DUAL_ARM])

@@ -1,5 +1,6 @@
 import copy
 import math
+import pickle
 import random
 
 import pytest
@@ -423,6 +424,33 @@ def test_chair_success_is_proximity_only():
 def test_env_config_mapping_round_trip():
     cfg = EnvConfig(dt=0.1, max_steps=77)
     assert EnvConfig.from_mapping(cfg.to_mapping()) == cfg
+
+
+@pytest.mark.parametrize("change", [{"dt": -1.0}, {"max_steps": 0}], ids=["dt", "max_steps"])
+def test_env_config_replace_is_checked(change):
+    with pytest.raises(ValueError, match=next(iter(change))):
+        EnvConfig()._replace(**change)
+
+
+def test_env_config_make_is_checked():
+    values = list(EnvConfig())
+    values[EnvConfig._fields.index("max_steps")] = 0
+    with pytest.raises(ValueError, match="max_steps"):
+        EnvConfig._make(values)
+
+
+def test_env_config_survives_pickle_and_copy():
+    cfg = EnvConfig(dt=0.1, max_steps=77)
+    for twin in (pickle.loads(pickle.dumps(cfg)), copy.copy(cfg), copy.deepcopy(cfg)):
+        assert twin == cfg and type(twin) is EnvConfig
+
+
+def test_env_config_pickle_and_copy_rebuild_through_the_check():
+    unchecked = tuple.__new__(EnvConfig, (-1.0, *EnvConfig()[1:]))  # made around the constructor
+    blob = pickle.dumps(unchecked)
+    for rebuild in (lambda: pickle.loads(blob), lambda: copy.copy(unchecked), lambda: copy.deepcopy(unchecked)):
+        with pytest.raises(ValueError, match="dt"):
+            rebuild()
 
 
 @pytest.mark.parametrize(

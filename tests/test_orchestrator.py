@@ -1,5 +1,4 @@
 import concurrent.futures
-import dataclasses
 import functools
 import os
 
@@ -195,6 +194,32 @@ def test_batch_parallel_matches_serial():
     assert serial == parallel
 
 
+@pytest.fixture(scope="module")
+def records():
+    plan = builtin_plan("move_bucket")
+    result = run_episode("move_bucket", plan, seed=3)
+    env = MockEnv("move_bucket")
+    env.reset(3)
+    return {
+        "Observation": (result.trajectory[0].obs, "step_index"),
+        "StepRecord": (result.trajectory[0], "action"),
+        "EpisodeResult": (result, "success"),
+        "MoveTo": (next(e for e in plan.entries if e.kind == "move_to"), "target"),
+        "EnvConfig": (env.config, "dt"),
+        "Layout": (env.state.layout, "robot_xy"),
+    }
+
+
+@pytest.mark.parametrize("name", ["Observation", "StepRecord", "EpisodeResult", "MoveTo", "EnvConfig", "Layout"])
+def test_records_refuse_assignment(records, name):
+    record, field = records[name]
+    assert type(record).__name__ == name
+    with pytest.raises(AttributeError):
+        setattr(record, field, getattr(record, field))
+    with pytest.raises(AttributeError):
+        delattr(record, field)
+
+
 def test_custom_env_config_flows_through():
     cfg = EnvConfig(max_steps=30)
     result = run_episode("open_cabinet_door", hopeless_plan(), cfg, seed=1)
@@ -207,7 +232,7 @@ def test_batch_with_writer_keeps_results_without_trajectories(tmp_path, jobs):
     full = run_batch("move_bucket", plan, None, [4, 1, 3])
     kept = run_batch("move_bucket", plan, None, [4, 1, 3], jobs=jobs, write=functools.partial(record_pid, tmp_path))
     assert all(r.trajectory for r in full.results)
-    assert kept == dataclasses.replace(full, results=tuple(dataclasses.replace(r, trajectory=()) for r in full.results))
+    assert kept == full._replace(results=tuple(r._replace(trajectory=()) for r in full.results))
 
 
 def test_writer_receives_each_full_episode():

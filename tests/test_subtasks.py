@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import random
@@ -328,7 +327,7 @@ class CorrectorBankOracle:
         g = max(self.velocity * self.decay**self.steps_taken, self.min_velocity)
         out = [0.0] * self.dim
         for k, mt in enumerate(self.correctors):
-            act, inside = dataclasses.replace(mt, velocity=g).step(obs, mt.target, 0)
+            act, inside = mt._replace(velocity=g).step(obs, mt.target, 0)
             if self.done[k] and inside:
                 continue  # converged and still inside the band
             self.done[k] = inside  # re-arms once the joint drifts out
