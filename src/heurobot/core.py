@@ -16,17 +16,11 @@ task pins their invariants (which fields are present for which object kind).
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import sys
 from typing import NamedTuple
-
-TASK_KINDS = (
-    "open_cabinet_door",
-    "open_cabinet_drawer",
-    "move_bucket",
-    "push_chair",
-)
 
 # task kind -> object kind placed in the scene
 TASK_OBJECT = {
@@ -35,6 +29,10 @@ TASK_OBJECT = {
     "move_bucket": "bucket",
     "push_chair": "chair",
 }
+TASK_KINDS = tuple(TASK_OBJECT)
+
+ARTICULATED_OBJECTS = ("door", "drawer")  # opened by an articulation, not moved
+GOAL_POINT_OBJECTS = ("bucket", "chair")  # carried or pushed to a goal point
 
 PLATFORM_SLOTS = ("platform_x", "platform_y", "platform_rotation", "platform_height")
 
@@ -130,11 +128,6 @@ class RobotConfig(CheckedRecord, _RobotConfigFields):
             raise ValueError("joints_per_arm must be positive")
         return self
 
-    @property
-    def action_dim(self) -> int:
-        # 4 platform DOFs + per arm: joints + one finger open/close channel
-        return 4 + len(self.arms) * (self.joints_per_arm + 1)
-
 
 SINGLE_ARM = RobotConfig(arms=("left",))
 DUAL_ARM = RobotConfig(arms=("left", "right"))
@@ -154,26 +147,13 @@ class ActionIndexMap:
     Slot names: the four platform slots, then per arm ``<arm>_arm_joint_<j>``
     followed by ``<arm>_fingers`` (positive = close, negative = open).
     ``joint_slots`` holds each arm's joint slot indices and
-    ``finger_slots`` each arm's finger slot index.
+    ``finger_slots`` each arm's finger slot index. ``for_robot`` builds each
+    robot's map once and hands out that same object on every call.
     """
 
     __slots__ = ("robot", "slots", "joint_slots", "finger_slots", "_index")
 
-    def __init__(
-        self,
-        robot: RobotConfig,
-        slots: tuple[str, ...],
-        joint_slots: tuple[tuple[int, ...], ...],
-        finger_slots: tuple[int, ...],
-    ) -> None:
-        self.robot = robot
-        self.slots = slots
-        self.joint_slots = joint_slots
-        self.finger_slots = finger_slots
-        self._index = {name: i for i, name in enumerate(slots)}
-
-    @classmethod
-    def for_robot(cls, robot: RobotConfig) -> "ActionIndexMap":
+    def __init__(self, robot: RobotConfig) -> None:
         names = list(PLATFORM_SLOTS)
         joint_slots, finger_slots = [], []
         for arm in robot.arms:
@@ -181,7 +161,16 @@ class ActionIndexMap:
             names.extend(f"{arm}_arm_joint_{j}" for j in range(robot.joints_per_arm))
             finger_slots.append(len(names))
             names.append(f"{arm}_fingers")
-        return cls(robot, tuple(names), tuple(joint_slots), tuple(finger_slots))
+        self.robot = robot
+        self.slots = tuple(names)
+        self.joint_slots = tuple(joint_slots)
+        self.finger_slots = tuple(finger_slots)
+        self._index = {name: i for i, name in enumerate(names)}
+
+    @classmethod
+    @functools.cache
+    def for_robot(cls, robot: RobotConfig) -> "ActionIndexMap":
+        return cls(robot)
 
     @property
     def dim(self) -> int:
@@ -199,6 +188,12 @@ class ActionIndexMap:
         for name, value in assignments.items():
             out[self.index_of(name)] = float(value)
         return tuple(out)
+
+
+def midpoint(points: tuple[Point3, ...]) -> Point3:
+    """Mean of the points, each axis summed in point order."""
+    n = len(points)
+    return tuple([sum(axis) / n for axis in zip(*points)])
 
 
 class RobotState(NamedTuple):

@@ -19,6 +19,8 @@ from collections.abc import Sequence
 from typing import NamedTuple
 
 from .core import (
+    ARTICULATED_OBJECTS,
+    GOAL_POINT_OBJECTS,
     TASK_OBJECT,
     TASK_ROBOT,
     Action,
@@ -29,6 +31,7 @@ from .core import (
     Point3,
     RobotState,
     is_finite_number,
+    midpoint,
     wrap_angle,
 )
 
@@ -36,6 +39,7 @@ from .core import (
 
 ARM_MOUNT_X = 0.08  # m, arm base ahead of platform center
 ARM_MOUNT_Y = 0.25  # m, lateral arm base offset (dual-arm robots, +/-)
+ARM_MOUNTS = {1: (0.0,), 2: (ARM_MOUNT_Y, -ARM_MOUNT_Y)}  # arm count -> lateral offset per arm
 ARM_LINK = 0.22  # m, both links of the planar chain
 ARM_BASE_Z = 0.05  # m, arm base above platform height
 ARM_SWING_SPAN = 0.25  # m, lateral fingertip travel per sin(q0)
@@ -65,9 +69,18 @@ def finger_local(joints: Sequence[float], mount_y: float) -> Point3:
     return reach, lateral, rise
 
 
-_READY_REACH, _, _READY_RISE = finger_local(READY_POSE, 0.0)
-READY_FINGER_FORWARD = _READY_REACH  # ~0.35 m
-READY_FINGER_RISE = _READY_RISE  # ~0.15 m
+def fingertips(platform: list[float], joints: list[list[float]]) -> tuple[Point3, ...]:
+    """World fingertip positions, one per arm, for a platform pose and arm joints."""
+    px, py, ph, yaw = platform
+    cos_y, sin_y = math.cos(yaw), math.sin(yaw)
+    out = []
+    for q, mount in zip(joints, ARM_MOUNTS[len(joints)]):
+        reach, lateral, rise = finger_local(q, mount)
+        out.append((px + cos_y * reach - sin_y * lateral, py + sin_y * reach + cos_y * lateral, ph + rise))
+    return tuple(out)
+
+
+READY_FINGER_FORWARD, _, READY_FINGER_RISE = finger_local(READY_POSE, 0.0)  # ~0.35 m, ~0.15 m
 _SPAWN_FINGER_Z = PLATFORM_SPAWN_HEIGHT + READY_FINGER_RISE
 
 
@@ -128,6 +141,13 @@ class EnvConfig(CheckedRecord, _EnvConfigFields):
         return self._asdict()
 
 
+def check_seed(seed: object) -> int:
+    """``seed`` itself if it is an int; anything else, a bool included, raises ValueError."""
+    if type(seed) is not int:
+        raise ValueError(f"seed must be an integer, got {seed!r}")
+    return seed
+
+
 # ---------------------------------------------------------------- layout
 
 
@@ -150,17 +170,17 @@ class Layout(NamedTuple):
     extents: Point3 = (0.0, 0.0, 0.0)
 
 
-def _sample_layout(task_kind: str, rng: random.Random) -> Layout:
+def _sample_layout(object_kind: str, rng: random.Random) -> Layout:
     rx = rng.uniform(-0.05, 0.05)
     ry = rng.uniform(-0.05, 0.05)
-    if task_kind in ("open_cabinet_door", "open_cabinet_drawer"):
+    if object_kind in ARTICULATED_OBJECTS:
         yaw0 = rng.uniform(-0.20, 0.20)
         bearing = rng.uniform(-0.35, 0.35)
         dist = rng.uniform(0.60, 0.85)
         handle_z = rng.uniform(0.45, 0.68)
         ux, uy = math.cos(bearing), math.sin(bearing)
         handle0 = (rx + dist * ux, ry + dist * uy, handle_z)
-        if task_kind == "open_cabinet_door":
+        if object_kind == "door":
             lever = rng.uniform(0.28, 0.40)
             art_target = rng.uniform(0.50, 0.70)
             art_range = art_target + 0.15
@@ -180,7 +200,7 @@ def _sample_layout(task_kind: str, rng: random.Random) -> Layout:
             object_yaw=wrap_angle(bearing + math.pi),
             extents=(0.9, 0.9, 1.4),
         )
-    if task_kind == "move_bucket":
+    if object_kind == "bucket":
         yaw0 = rng.uniform(-0.15, 0.15)
         bearing = rng.uniform(-1.5, 1.5)
         dist = rng.uniform(0.33, 0.37)
@@ -200,21 +220,20 @@ def _sample_layout(task_kind: str, rng: random.Random) -> Layout:
             target=(rx + target_dist * math.cos(target_bearing), ry + target_dist * math.sin(target_bearing)),
             extents=(2 * rim_radius, 2 * rim_radius, height),
         )
-    if task_kind == "push_chair":
-        yaw0 = rng.uniform(-0.04, 0.04)
-        cx = rx + rng.uniform(0.60, 0.76)
-        cy = ry + rng.uniform(-0.04, 0.04)
-        grip_z = rng.uniform(0.45, 0.68)
-        return Layout(
-            robot_xy=(rx, ry),
-            robot_yaw=yaw0,
-            object_xy=(cx, cy),
-            object_yaw=rng.uniform(-0.06, 0.06),
-            grip_z=grip_z,
-            target=(cx + rng.uniform(1.0, 1.5), cy + rng.uniform(-0.08, 0.08)),
-            extents=(2 * CHAIR_GRIP_HALF_DEPTH, 2 * CHAIR_GRIP_HALF_WIDTH, grip_z + 0.15),
-        )
-    raise ValueError(f"unknown task kind {task_kind!r}")
+    # chair
+    yaw0 = rng.uniform(-0.04, 0.04)
+    cx = rx + rng.uniform(0.60, 0.76)
+    cy = ry + rng.uniform(-0.04, 0.04)
+    grip_z = rng.uniform(0.45, 0.68)
+    return Layout(
+        robot_xy=(rx, ry),
+        robot_yaw=yaw0,
+        object_xy=(cx, cy),
+        object_yaw=rng.uniform(-0.06, 0.06),
+        grip_z=grip_z,
+        target=(cx + rng.uniform(1.0, 1.5), cy + rng.uniform(-0.08, 0.08)),
+        extents=(2 * CHAIR_GRIP_HALF_DEPTH, 2 * CHAIR_GRIP_HALF_WIDTH, grip_z + 0.15),
+    )
 
 
 # ---------------------------------------------------------------- state
@@ -232,9 +251,12 @@ class Carry(NamedTuple):
 class EnvState:
     """All mutable episode state; every observation is built from it.
 
-    Restoring a (deep) copy of it restores the episode exactly, noise stream
-    included. Door and drawer keep ``object_xy``/``object_yaw`` at the
-    layout's cabinet pose; only their ``articulation`` moves.
+    Built at the spawn state: the platform at the layout's pose and
+    ``PLATFORM_SPAWN_HEIGHT``, every arm at ``READY_POSE`` and open, the
+    object at the layout's pose. Restoring a (deep) copy of it restores the
+    episode exactly, noise stream included. Door and drawer keep
+    ``object_xy``/``object_yaw`` at the layout's cabinet pose; only their
+    ``articulation`` moves.
     """
 
     __slots__ = (
@@ -242,27 +264,16 @@ class EnvState:
         "object_xy", "object_yaw", "object_z", "articulation", "carry", "step", "done",
     )
 
-    def __init__(
-        self,
-        layout: Layout,
-        noise_rng: random.Random,
-        platform: list[float],
-        joints: list[list[float]],
-        fingers: tuple[Point3, ...],
-        grasping: list[bool],
-        open_counts: list[int],
-        object_xy: tuple[float, float],
-        object_yaw: float,
-    ) -> None:
+    def __init__(self, layout: Layout, noise_rng: random.Random, n_arms: int) -> None:
         self.layout = layout
         self.noise_rng = noise_rng
-        self.platform = platform  # x, y, height (m), yaw (rad)
-        self.joints = joints  # rad, one list per arm
-        self.fingers = fingers  # fingertips at the current pose, one per arm
-        self.grasping = grasping  # per arm
-        self.open_counts = open_counts  # per arm, consecutive opening commands while grasping
-        self.object_xy = object_xy
-        self.object_yaw = object_yaw
+        self.platform = [*layout.robot_xy, PLATFORM_SPAWN_HEIGHT, layout.robot_yaw]  # x, y, height (m), yaw (rad)
+        self.joints = [list(READY_POSE) for _ in range(n_arms)]  # rad, one list per arm
+        self.fingers = fingertips(self.platform, self.joints)  # at the current pose, one per arm
+        self.grasping = [False] * n_arms
+        self.open_counts = [0] * n_arms  # per arm, consecutive opening commands while grasping
+        self.object_xy = layout.object_xy
+        self.object_yaw = layout.object_yaw
         self.object_z = 0.0  # bucket base above ground
         self.articulation = 0.0
         self.carry: Carry | None = None  # set exactly while every arm of a bucket or chair env grasps
@@ -287,33 +298,17 @@ class MockEnv:
         self.config = config if config is not None else EnvConfig()
         self.robot_config = TASK_ROBOT[task_kind]
         self.index_map = ActionIndexMap.for_robot(self.robot_config)
-        # lateral arm base offset per arm: centered on one-armed robots
-        n = len(self.robot_config.arms)
-        self._mounts = (0.0,) if n == 1 else tuple(ARM_MOUNT_Y if arm == 0 else -ARM_MOUNT_Y for arm in range(n))
         self.state: EnvState | None = None
 
     # ------------------------------------------------------------- reset
 
     def reset(self, seed: int) -> Observation:
+        """Start an episode; ``seed`` must be an int, and a bool is not one."""
+        check_seed(seed)
         cfg = self.config
-        layout_rng = random.Random(f"{cfg.rng_seed}:{seed}:layout")
+        layout = _sample_layout(self.object_kind, random.Random(f"{cfg.rng_seed}:{seed}:layout"))
         noise_rng = random.Random(f"{cfg.rng_seed}:{seed}:noise")
-        layout = _sample_layout(self.task_kind, layout_rng)
-
-        n_arms = len(self.robot_config.arms)
-        platform = [layout.robot_xy[0], layout.robot_xy[1], PLATFORM_SPAWN_HEIGHT, layout.robot_yaw]
-        joints = [list(READY_POSE) for _ in range(n_arms)]
-        self.state = EnvState(
-            layout=layout,
-            noise_rng=noise_rng,
-            platform=platform,
-            joints=joints,
-            fingers=self._compute_fingers(platform, joints),
-            grasping=[False] * n_arms,
-            open_counts=[0] * n_arms,
-            object_xy=layout.object_xy,
-            object_yaw=layout.object_yaw,
-        )
+        self.state = EnvState(layout, noise_rng, len(self.robot_config.arms))
         return self._observation()
 
     # ------------------------------------------------------------- step
@@ -365,7 +360,7 @@ class MockEnv:
                 v = 0.0 + z * std
                 q[j] = (q[j] + action[slot] * ang) + (-bound if v < -bound else (bound if v > bound else v))
 
-        fingers = self._compute_fingers(p, state.joints)
+        fingers = fingertips(p, state.joints)
         self._update_object(fingers, lin)
         self._update_attachments(action, fingers)
         state.fingers = fingers
@@ -396,23 +391,6 @@ class MockEnv:
 
     # ------------------------------------------------------------- internals
 
-    def _compute_fingers(self, platform: list[float], joints: list[list[float]]) -> tuple[Point3, ...]:
-        px, py, ph, yaw = platform
-        cos_y, sin_y = math.cos(yaw), math.sin(yaw)
-        out = []
-        for q, mount in zip(joints, self._mounts):
-            reach, lateral, rise = finger_local(q, mount)
-            out.append((px + cos_y * reach - sin_y * lateral, py + sin_y * reach + cos_y * lateral, ph + rise))
-        return tuple(out)
-
-    def _mid_fingers(self, fingers: tuple[Point3, ...]) -> Point3:
-        n = len(fingers)
-        return (
-            sum(f[0] for f in fingers) / n,
-            sum(f[1] for f in fingers) / n,
-            sum(f[2] for f in fingers) / n,
-        )
-
     def _update_object(self, fingers: tuple[Point3, ...], lin: float) -> None:
         """Object pose response to the (pre-transition) grasp state.
 
@@ -420,7 +398,7 @@ class MockEnv:
         """
         state = self.state
         lay = state.layout
-        if self.object_kind in ("door", "drawer"):
+        if self.object_kind in ARTICULATED_OBJECTS:
             if state.grasping[0]:
                 dx = fingers[0][0] - state.fingers[0][0]
                 dy = fingers[0][1] - state.fingers[0][1]
@@ -429,7 +407,7 @@ class MockEnv:
                     state.articulation = min(state.articulation + proj * (1.0 / lay.lever), lay.art_range)
             return
         if state.carry is not None:
-            mid = self._mid_fingers(fingers)
+            mid = midpoint(fingers)
             yaw = state.platform[3]
             c, s = math.cos(yaw), math.sin(yaw)
             carry = state.carry
@@ -453,7 +431,7 @@ class MockEnv:
         state = self.state
         lay = state.layout
         fx, fy, fz = fingers[arm]
-        if self.object_kind in ("door", "drawer"):
+        if self.object_kind in ARTICULATED_OBJECTS:
             hx, hy, hz = self._handle_position()
             return math.sqrt((fx - hx) ** 2 + (fy - hy) ** 2 + (fz - hz) ** 2)
         ox, oy = state.object_xy
@@ -490,8 +468,8 @@ class MockEnv:
                     state.open_counts[arm] = 0
         if released:
             state.carry = None
-        if self.object_kind in ("bucket", "chair") and state.carry is None and all(state.grasping):
-            mid = self._mid_fingers(fingers)
+        if self.object_kind in GOAL_POINT_OBJECTS and state.carry is None and all(state.grasping):
+            mid = midpoint(fingers)
             yaw = state.platform[3]
             c, s = math.cos(yaw), math.sin(yaw)
             ox, oy = state.object_xy
@@ -505,7 +483,7 @@ class MockEnv:
     def _handle_position(self) -> Point3:
         state = self.state
         lay = state.layout
-        if self.object_kind in ("door", "drawer"):
+        if self.object_kind in ARTICULATED_OBJECTS:
             shift = lay.lever * state.articulation
             return (
                 lay.handle0[0] + lay.axis[0] * shift,
@@ -541,7 +519,7 @@ class MockEnv:
             handle_position=self._handle_position(),
             object_pose=(state.object_xy[0], state.object_xy[1], state.object_yaw),
             size_extents=state.layout.extents,
-            articulation_value=state.articulation if kind in ("door", "drawer") else None,
+            articulation_value=state.articulation if kind in ARTICULATED_OBJECTS else None,
             target_point=state.layout.target,
         )
         return Observation(robot=robot, object=obj, step_index=state.step)

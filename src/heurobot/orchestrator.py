@@ -28,7 +28,7 @@ from functools import partial
 from typing import NamedTuple
 
 from .core import Action, Observation, add, clamp, new_action
-from .mockenv import EnvConfig, MockEnv
+from .mockenv import EnvConfig, MockEnv, check_seed
 from .plans import Plan, StabilizerOn, resolve
 from .subtasks import ArmStabilizer
 
@@ -141,6 +141,9 @@ def run_batch(
 ) -> BatchResult:
     """Run one episode per seed; results are reported sorted by seed.
 
+    Every seed is checked before the first episode runs: one that is not an
+    int (a bool is not) raises ``ValueError``.
+
     With ``write``, each episode is passed to it as soon as it ends, in the
     process that ran it, and the batch keeps the result with an empty
     ``trajectory``. ``write`` must be picklable when ``jobs > 1``; an error it
@@ -150,7 +153,7 @@ def run_batch(
     ``move_bucket`` seed 3). At most ``len(seeds)`` workers are started, and a
     single worker runs in this process.
     """
-    seeds = list(seeds)
+    seeds = [check_seed(s) for s in seeds]
     if not seeds:
         raise ValueError("run_batch requires at least one seed")
     if jobs < 1:

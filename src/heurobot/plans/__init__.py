@@ -20,6 +20,8 @@ import os
 from typing import Callable, NamedTuple
 
 from ..core import (
+    DUAL_ARM,
+    GOAL_POINT_OBJECTS,
     TASK_KINDS,
     TASK_OBJECT,
     TASK_ROBOT,
@@ -45,8 +47,6 @@ PLAN_SCHEMA_VERSION = 1
 DEFAULT_VELOCITY = 0.5
 DEFAULT_THRESHOLDS = {"platform_rotation": 0.02}  # rad; translations below
 DEFAULT_THRESHOLD = 0.01  # m
-
-GOAL_POINT_OBJECTS = ("bucket", "chair")  # objects whose scene has a goal point
 
 
 class PlanError(ValueError):
@@ -210,7 +210,8 @@ def parse_plan(doc: object) -> Plan:
                 rule = _parse_target(target)[0] if isinstance(target, str) else None
             except PlanError as err:
                 raise PlanError(f"{where}: {err}") from None
-            if "_arm_joint_" in selector and selector not in index_map.slots:  # joint selectors are named as slots
+            # joint selectors are named as the dual-arm joint slots
+            if selector in ActionIndexMap.for_robot(DUAL_ARM).slots and selector not in index_map.slots:
                 raise PlanError(f"{where}: selector {selector!r} names a joint the task's robot does not have")
             if rule is None and not is_finite_number(target):
                 raise PlanError(f"{where}: target must be a finite number or an expression, got {target!r}")

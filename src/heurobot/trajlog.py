@@ -95,8 +95,8 @@ def read_trajectory(path) -> tuple[dict, list[dict]]:
     return header, records
 
 
-def summary_payload(batch: BatchResult, config: EnvConfig, plan_source: str, seeds: list[int]) -> dict:
-    return {
+def write_summary(path, batch: BatchResult, config: EnvConfig, plan_source: str, seeds: list[int]) -> None:
+    payload = {
         "schema_version": SCHEMA_VERSION,
         "kind": "summary",
         "task": batch.task_kind,
@@ -110,10 +110,6 @@ def summary_payload(batch: BatchResult, config: EnvConfig, plan_source: str, see
         "success_rate": batch.success_rate,
         "mean_steps": batch.mean_steps,
     }
-
-
-def write_summary(path, batch: BatchResult, config: EnvConfig, plan_source: str, seeds: list[int]) -> None:
-    payload = summary_payload(batch, config, plan_source, seeds)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 

@@ -15,6 +15,7 @@ from heurobot.core import (
     one_hot,
     wrap_angle,
 )
+from heurobot.mockenv import MockEnv
 
 
 def test_new_action_is_all_zeros():
@@ -96,8 +97,8 @@ def test_wrap_angle_range_and_identity():
 
 
 def test_action_dims_for_robot_configs():
-    assert SINGLE_ARM.action_dim == 13
-    assert DUAL_ARM.action_dim == 22
+    assert ActionIndexMap.for_robot(SINGLE_ARM).dim == 13
+    assert ActionIndexMap.for_robot(DUAL_ARM).dim == 22
 
 
 def test_robot_config_validation():
@@ -134,10 +135,17 @@ def test_robot_config_copies_are_checked_too():
 @pytest.mark.parametrize("config", [SINGLE_ARM, DUAL_ARM])
 def test_index_map_is_a_bijection(config):
     m = ActionIndexMap.for_robot(config)
-    assert m.dim == config.action_dim
+    assert m.dim == {SINGLE_ARM: 13, DUAL_ARM: 22}[config]
     assert sorted(m.index_of(name) for name in m.slots) == list(range(m.dim))
     for name in m.slots:
         assert m.slots[m.index_of(name)] == name
+
+
+def test_each_robot_has_one_index_map():
+    assert ActionIndexMap.for_robot(DUAL_ARM) is ActionIndexMap.for_robot(DUAL_ARM)
+    assert ActionIndexMap.for_robot(RobotConfig(arms=("left", "right"))) is ActionIndexMap.for_robot(DUAL_ARM)
+    assert ActionIndexMap.for_robot(SINGLE_ARM) is not ActionIndexMap.for_robot(DUAL_ARM)
+    assert MockEnv("move_bucket").index_map is MockEnv("move_bucket").index_map
 
 
 def test_index_map_arm_slots():

@@ -169,6 +169,15 @@ def test_step_index_counts_up_by_one():
         assert obs.step_index == expected
 
 
+@pytest.mark.parametrize("seed", [True, 1.5, "1"], ids=["bool", "float", "str"])
+def test_reset_rejects_seeds_that_are_not_integers(seed):
+    # True would seed the stream "0:True:layout", not seed 1's
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        MockEnv("move_bucket").reset(seed)
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        run_episode("move_bucket", builtin_plan("move_bucket"), seed=seed)
+
+
 def test_action_validation():
     env = MockEnv("open_cabinet_door")
     env.reset(0)

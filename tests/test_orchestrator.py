@@ -159,6 +159,14 @@ def test_batch_requires_seeds():
         run_batch("open_cabinet_door", idle_plan(), None, [])
 
 
+@pytest.mark.parametrize("seed", [True, 1.5, "1"], ids=["bool", "float", "str"])
+def test_batch_checks_every_seed_before_running_any(seed):
+    written = []
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        run_batch("open_cabinet_door", idle_plan(), None, [2, seed], write=written.append)
+    assert written == []
+
+
 @pytest.mark.parametrize("jobs", [0, -1])
 def test_batch_rejects_jobs_below_one(jobs):
     with pytest.raises(ValueError, match="jobs"):
