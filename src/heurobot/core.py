@@ -124,8 +124,8 @@ class RobotConfig(CheckedRecord, _RobotConfigFields):
         self = super().__new__(cls, *args, **kwargs)
         if self.arms not in (("left",), ("left", "right")):
             raise ValueError(f"invalid arm set {self.arms!r}; expected ('left',) or ('left', 'right')")
-        if self.joints_per_arm <= 0:
-            raise ValueError("joints_per_arm must be positive")
+        if type(self.joints_per_arm) is not int or self.joints_per_arm <= 0:
+            raise ValueError(f"joints_per_arm must be a positive int, got {self.joints_per_arm!r}")
         return self
 
 
@@ -190,10 +190,14 @@ class ActionIndexMap:
         return tuple(out)
 
 
+def axis_mean(points: tuple[Point3, ...], axis: int) -> float:
+    """Mean of one coordinate of the points, summed in point order."""
+    return sum([p[axis] for p in points]) / len(points)
+
+
 def midpoint(points: tuple[Point3, ...]) -> Point3:
-    """Mean of the points, each axis summed in point order."""
-    n = len(points)
-    return tuple([sum(axis) / n for axis in zip(*points)])
+    """Mean of the points, each axis by ``axis_mean``."""
+    return (axis_mean(points, 0), axis_mean(points, 1), axis_mean(points, 2))
 
 
 class RobotState(NamedTuple):

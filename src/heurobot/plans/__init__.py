@@ -20,7 +20,6 @@ import os
 from typing import Callable, NamedTuple
 
 from ..core import (
-    DUAL_ARM,
     GOAL_POINT_OBJECTS,
     TASK_KINDS,
     TASK_OBJECT,
@@ -30,7 +29,7 @@ from ..core import (
     is_finite_number,
     wrap_angle,
 )
-from ..subtasks import SELECTORS, MoveSteps, MoveTo
+from ..subtasks import JOINT_SELECTORS, SELECTORS, MoveSteps, MoveTo
 
 MARKER_KIND = "stabilizer_on"
 
@@ -210,8 +209,7 @@ def parse_plan(doc: object) -> Plan:
                 rule = _parse_target(target)[0] if isinstance(target, str) else None
             except PlanError as err:
                 raise PlanError(f"{where}: {err}") from None
-            # joint selectors are named as the dual-arm joint slots
-            if selector in ActionIndexMap.for_robot(DUAL_ARM).slots and selector not in index_map.slots:
+            if selector in JOINT_SELECTORS and selector not in index_map.slots:
                 raise PlanError(f"{where}: selector {selector!r} names a joint the task's robot does not have")
             if rule is None and not is_finite_number(target):
                 raise PlanError(f"{where}: target must be a finite number or an expression, got {target!r}")

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from typing import Callable, NamedTuple
 
-from .core import DUAL_ARM, Action, ActionIndexMap, Observation, midpoint, one_hot
+from .core import DUAL_ARM, Action, ActionIndexMap, Observation, axis_mean, one_hot
 
 
 class SubTaskError(RuntimeError):
@@ -35,25 +35,27 @@ def _arm_joint(arm: int, joint: int) -> Selector:
 
 _DUAL_ARM_MAP = ActionIndexMap.for_robot(DUAL_ARM)
 
+# Joint selectors are named as the dual-arm joint slots; a task's robot may lack some of them.
+JOINT_SELECTORS: dict[str, Selector] = {
+    _DUAL_ARM_MAP.slots[slot]: _arm_joint(arm, joint)
+    for arm, slots in enumerate(_DUAL_ARM_MAP.joint_slots)
+    for joint, slot in enumerate(slots)
+}
 
 # Named scalar accessors available to plan documents. Finger selectors read
 # the midpoint of the fingertips, which collapses to the single fingertip on
-# one-armed robots. Joint selectors are named as the dual-arm joint slots.
+# one-armed robots.
 SELECTORS: dict[str, Selector] = {
     "platform_x": lambda obs: obs.robot.platform_x,
     "platform_y": lambda obs: obs.robot.platform_y,
     "platform_height": lambda obs: obs.robot.platform_height,
     "platform_yaw": lambda obs: obs.robot.platform_yaw,
-    "finger_x": lambda obs: midpoint(obs.robot.finger_positions)[0],
-    "finger_y": lambda obs: midpoint(obs.robot.finger_positions)[1],
-    "finger_height": lambda obs: midpoint(obs.robot.finger_positions)[2],
+    "finger_x": lambda obs: axis_mean(obs.robot.finger_positions, 0),
+    "finger_y": lambda obs: axis_mean(obs.robot.finger_positions, 1),
+    "finger_height": lambda obs: axis_mean(obs.robot.finger_positions, 2),
     "object_x": lambda obs: obs.object.object_pose[0],
     "object_y": lambda obs: obs.object.object_pose[1],
-    **{
-        _DUAL_ARM_MAP.slots[slot]: _arm_joint(arm, joint)
-        for arm, slots in enumerate(_DUAL_ARM_MAP.joint_slots)
-        for joint, slot in enumerate(slots)
-    },
+    **JOINT_SELECTORS,
 }
 
 
@@ -123,8 +125,13 @@ class ArmStabilizer:
 
     def __init__(self, index_map: ActionIndexMap, reference: tuple[tuple[float, ...], ...]) -> None:
         robot = index_map.robot
-        if [len(pose) for pose in reference] != [robot.joints_per_arm] * len(robot.arms):
-            raise ValueError(f"stabilizer reference must hold {robot.joints_per_arm} joint angles for each arm")
+        if len(reference) != len(robot.arms) or any(len(r) == 0 for r in reference):
+            raise ValueError("stabilizer reference must provide a pose for every arm")
+        for arm, pose in enumerate(reference):
+            if len(pose) != robot.joints_per_arm:
+                raise ValueError(
+                    f"reference pose for arm {arm} has {len(pose)} joints, expected {robot.joints_per_arm}"
+                )
         self.index_map = index_map
         self.steps_taken = 0
         # per joint, in arm-major order: (arm, joint, action slot, target); _settled[k] is joint k's mask bit

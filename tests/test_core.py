@@ -108,6 +108,11 @@ def test_robot_config_validation():
         RobotConfig(arms=("middle",))
     with pytest.raises(ValueError):
         RobotConfig(joints_per_arm=0)
+    # a float or bool would compare equal to an int config and share its cached index map
+    with pytest.raises(ValueError, match="positive int"):
+        RobotConfig(joints_per_arm=8.0)
+    with pytest.raises(ValueError, match="positive int"):
+        RobotConfig(joints_per_arm=True)
 
 
 @pytest.mark.parametrize(
