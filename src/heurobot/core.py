@@ -105,9 +105,13 @@ class CheckedRecord:
         return cls(*iterable)
 
 
+# Grasp-ready arm pose, one angle (rad) per joint: the planar links are solved so the
+# fingertip sits 0.35 m ahead of the platform center and 0.15 m above platform height.
+READY_POSE = (0.0, 1.21191, -1.71442, 0.0, -0.35, 0.0, 0.25, 0.0)
+
+
 class _RobotConfigFields(NamedTuple):
     arms: tuple[str, ...] = ("left",)
-    joints_per_arm: int = 8
 
 
 class RobotConfig(CheckedRecord, _RobotConfigFields):
@@ -119,13 +123,12 @@ class RobotConfig(CheckedRecord, _RobotConfigFields):
     """
 
     __slots__ = ()
+    joints_per_arm = len(READY_POSE)  # every arm's joint count: a class constant, not a field
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
         if self.arms not in (("left",), ("left", "right")):
             raise ValueError(f"invalid arm set {self.arms!r}; expected ('left',) or ('left', 'right')")
-        if type(self.joints_per_arm) is not int or self.joints_per_arm <= 0:
-            raise ValueError(f"joints_per_arm must be a positive int, got {self.joints_per_arm!r}")
         return self
 
 
@@ -223,7 +226,6 @@ class ObjectAttributes(NamedTuple):
     kind: str
     handle_position: Point3  # m, representative grip point
     object_pose: tuple[float, float, float]  # x, y, yaw of the object base
-    size_extents: Point3  # m
     articulation_value: float | None = None
     target_point: Point2 | None = None
 

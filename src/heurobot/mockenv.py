@@ -21,6 +21,7 @@ from typing import NamedTuple
 from .core import (
     ARTICULATED_OBJECTS,
     GOAL_POINT_OBJECTS,
+    READY_POSE,
     TASK_OBJECT,
     TASK_ROBOT,
     Action,
@@ -43,10 +44,6 @@ ARM_MOUNTS = {1: (0.0,), 2: (ARM_MOUNT_Y, -ARM_MOUNT_Y)}  # arm count -> lateral
 ARM_LINK = 0.22  # m, both links of the planar chain
 ARM_BASE_Z = 0.05  # m, arm base above platform height
 ARM_SWING_SPAN = 0.25  # m, lateral fingertip travel per sin(q0)
-
-# Grasp-ready arm pose: the planar links are solved so the fingertip sits
-# 0.35 m ahead of the platform center and 0.15 m above platform height.
-READY_POSE = (0.0, 1.21191, -1.71442, 0.0, -0.35, 0.0, 0.25, 0.0)
 
 PLATFORM_SPAWN_HEIGHT = 0.40  # m
 HEIGHT_LIMITS = (0.10, 1.20)  # m, platform height travel
@@ -167,7 +164,6 @@ class Layout(NamedTuple):
     object_height: float | None = None  # m, bucket rim above its base
     grip_z: float | None = None  # m, chair grip band height
     target: tuple[float, float] | None = None
-    extents: Point3 = (0.0, 0.0, 0.0)
 
 
 def _sample_layout(object_kind: str, rng: random.Random) -> Layout:
@@ -198,7 +194,6 @@ def _sample_layout(object_kind: str, rng: random.Random) -> Layout:
             art_range=art_range,
             object_xy=(handle0[0] + 0.25 * ux, handle0[1] + 0.25 * uy),
             object_yaw=wrap_angle(bearing + math.pi),
-            extents=(0.9, 0.9, 1.4),
         )
     if object_kind == "bucket":
         yaw0 = rng.uniform(-0.15, 0.15)
@@ -218,7 +213,6 @@ def _sample_layout(object_kind: str, rng: random.Random) -> Layout:
             rim_radius=rim_radius,
             object_height=height,
             target=(rx + target_dist * math.cos(target_bearing), ry + target_dist * math.sin(target_bearing)),
-            extents=(2 * rim_radius, 2 * rim_radius, height),
         )
     # chair
     yaw0 = rng.uniform(-0.04, 0.04)
@@ -232,7 +226,6 @@ def _sample_layout(object_kind: str, rng: random.Random) -> Layout:
         object_yaw=rng.uniform(-0.06, 0.06),
         grip_z=grip_z,
         target=(cx + rng.uniform(1.0, 1.5), cy + rng.uniform(-0.08, 0.08)),
-        extents=(2 * CHAIR_GRIP_HALF_DEPTH, 2 * CHAIR_GRIP_HALF_WIDTH, grip_z + 0.15),
     )
 
 
@@ -271,7 +264,7 @@ class EnvState:
         self.joints = [list(READY_POSE) for _ in range(n_arms)]  # rad, one list per arm
         self.fingers = fingertips(self.platform, self.joints)  # at the current pose, one per arm
         self.grasping = [False] * n_arms
-        self.open_counts = [0] * n_arms  # per arm, consecutive opening commands while grasping
+        self.open_counts = [0] * n_arms  # per arm, consecutive opening commands while grasping; 0 while not
         self.object_xy = layout.object_xy
         self.object_yaw = layout.object_yaw
         self.object_z = 0.0  # bucket base above ground
@@ -293,7 +286,6 @@ class MockEnv:
     def __init__(self, task_kind: str, config: EnvConfig | None = None):
         if task_kind not in TASK_OBJECT:
             raise ValueError(f"unknown task kind {task_kind!r}")
-        self.task_kind = task_kind
         self.object_kind = TASK_OBJECT[task_kind]
         self.config = config if config is not None else EnvConfig()
         self.robot_config = TASK_ROBOT[task_kind]
@@ -456,7 +448,6 @@ class MockEnv:
             if not state.grasping[arm]:
                 if cmd > 0.0 and self._grip_distance(arm, fingers) <= grasp_radius:
                     state.grasping[arm] = True
-                    state.open_counts[arm] = 0
             else:
                 if cmd < 0.0:
                     state.open_counts[arm] += 1
@@ -518,7 +509,6 @@ class MockEnv:
             kind=kind,
             handle_position=self._handle_position(),
             object_pose=(state.object_xy[0], state.object_xy[1], state.object_yaw),
-            size_extents=state.layout.extents,
             articulation_value=state.articulation if kind in ARTICULATED_OBJECTS else None,
             target_point=state.layout.target,
         )

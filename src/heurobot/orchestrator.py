@@ -11,13 +11,11 @@ stabilizer and stepping the next entry happen within the same iteration.
 A plan that cannot be resolved against the first observation, or an error
 inside a step, fails that episode with its ``error`` set; it never ends the
 batch. Each ``StepRecord`` keeps the observation its sub-task saw, so the
-step loop, the logs and replay share one immutable snapshot per step. Each
-entry's step count is counted from those records, so it matches
-``subtask_trace`` even when a step fails.
+step loop, the logs and replay share one immutable snapshot per step.
 
 ``run_batch`` can hand each finished episode to a ``write`` callable in the
 process that ran it (a pool worker at ``jobs > 1``); the batch then keeps the
-results without their trajectories, so only seed, outcome, step counts and
+results without their trajectories, so only seed, outcome, step count and
 error cross the process boundary.
 """
 
@@ -49,7 +47,6 @@ class EpisodeResult(NamedTuple):
     seed: int
     success: bool
     steps: int
-    subtask_steps: tuple[int, ...]  # per plan entry, its steps in the trajectory
     trajectory: tuple[StepRecord, ...]
     error: str | None = None
 
@@ -74,8 +71,7 @@ def run_episode(task_kind: str, plan: Plan, env_config: EnvConfig | None = None,
     try:
         targets = resolve(plan, obs)
     except Exception as e:  # noqa: BLE001 - episode failures must not kill a batch
-        return EpisodeResult(task_kind, seed, success=False, steps=0, trajectory=(),
-                             subtask_steps=(0,) * len(plan.entries), error=f"resolve: {e}")
+        return EpisodeResult(task_kind, seed, success=False, steps=0, trajectory=(), error=f"resolve: {e}")
     entries = plan.entries
     zeros = new_action(env.index_map.dim)
 
@@ -109,13 +105,11 @@ def run_episode(task_kind: str, plan: Plan, env_config: EnvConfig | None = None,
         taken += 1
         records.append(record)
 
-    trace = [rec.subtask_index for rec in records]
     return EpisodeResult(
         task_kind=task_kind,
         seed=seed,
         success=env.success() and error is None,
         steps=len(records),
-        subtask_steps=tuple(map(trace.count, range(len(entries)))),
         trajectory=tuple(records),
         error=error,
     )
@@ -141,23 +135,24 @@ def run_batch(
 ) -> BatchResult:
     """Run one episode per seed; results are reported sorted by seed.
 
-    Every seed is checked before the first episode runs: one that is not an
-    int (a bool is not) raises ``ValueError``.
+    Every seed, and ``jobs``, is checked before the first episode runs: one
+    that is not an int (a bool is not), or a ``jobs`` below 1, raises
+    ``ValueError``.
 
     With ``write``, each episode is passed to it as soon as it ends, in the
     process that ran it, and the batch keeps the result with an empty
     ``trajectory``. ``write`` must be picklable when ``jobs > 1``; an error it
     raises ends the batch. Without ``write`` at ``jobs > 1``, each result
     crosses the process boundary with its whole trajectory, every step's
-    observation included (73,111 pickled bytes for the 94-step
+    observation included (72,875 pickled bytes for the 94-step
     ``move_bucket`` seed 3). At most ``len(seeds)`` workers are started, and a
     single worker runs in this process.
     """
     seeds = [check_seed(s) for s in seeds]
     if not seeds:
         raise ValueError("run_batch requires at least one seed")
-    if jobs < 1:
-        raise ValueError(f"run_batch requires jobs >= 1, got {jobs}")
+    if type(jobs) is not int or jobs < 1:
+        raise ValueError(f"run_batch requires an integer jobs >= 1, got {jobs!r}")
     job = partial(_episode_job, task_kind, plan, env_config, write)
     jobs = min(jobs, len(seeds))
     if jobs > 1:

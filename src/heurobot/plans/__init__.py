@@ -196,7 +196,7 @@ def parse_plan(doc: object) -> Plan:
                     raise PlanError(f"{where}: unknown action slot {name!r}")
                 if not is_finite_number(value):
                     raise PlanError(f"{where}: action value for {name!r} must be a finite number, got {value!r}")
-            entries.append(MoveSteps(label, action, steps, index_map.build(action)))
+            entries.append(MoveSteps(label, tuple(action.items()), steps, index_map.build(action)))
         else:
             slot, selector, target = obj.get("slot"), obj.get("selector"), obj.get("target")
             if slot not in index_map.slots:
@@ -262,7 +262,11 @@ def load_plan(text: str) -> Plan:
 
 def serialize_plan(plan: Plan) -> str:
     entries = [
-        {"kind": e.kind, "label": e.label, **{key: getattr(e, key) for key in ENTRY_FIELDS[e.kind]}}
+        {
+            "kind": e.kind,
+            "label": e.label,
+            **{key: dict(e.action) if key == "action" else getattr(e, key) for key in ENTRY_FIELDS[e.kind]},
+        }
         for e in plan.entries
     ]
     doc = {"schema_version": PLAN_SCHEMA_VERSION, "task_kind": plan.task_kind, "entries": entries}

@@ -66,7 +66,7 @@ class MoveSteps(NamedTuple):
 
     kind = "move_steps"  # a class attribute, not a field
     label: str
-    action: dict[str, float]  # as written
+    action: tuple[tuple[str, float], ...]  # as written: (slot, value) pairs in document order
     steps: int
     vector: Action  # ``action`` as an action vector
 

@@ -43,13 +43,13 @@ def trajectory_lines(result: EpisodeResult, config: EnvConfig, plan_source: str)
                     "step": rec.obs.step_index,
                     "label": rec.label,
                     "subtask": rec.subtask_index,
-                    "action": list(rec.action),
-                    "main": list(rec.main_action),
-                    "stabilizer": list(rec.stabilizer_action),
+                    "action": rec.action,
+                    "main": rec.main_action,
+                    "stabilizer": rec.stabilizer_action,
                     "platform": [robot.platform_x, robot.platform_y, robot.platform_height, robot.platform_yaw],
-                    "joints": [list(q) for q in robot.arm_joints],
-                    "object": list(obj.object_pose),
-                    "handle": list(obj.handle_position),
+                    "joints": robot.arm_joints,
+                    "object": obj.object_pose,
+                    "handle": obj.handle_position,
                     "articulation": obj.articulation_value,
                 }
             )

@@ -30,7 +30,6 @@ def door_attributes(handle=(0.7, 0.0, 0.55), articulation=0.0):
         kind="door",
         handle_position=handle,
         object_pose=(0.95, 0.0, 3.14),
-        size_extents=(0.9, 0.9, 1.4),
         articulation_value=articulation,
     )
 
@@ -40,7 +39,6 @@ def bucket_attributes(center=(0.35, 0.0), handle=(0.09, 0.0, 0.55), target=(1.0,
         kind="bucket",
         handle_position=handle,
         object_pose=(center[0], center[1], 0.0),
-        size_extents=(0.52, 0.52, 0.55),
         target_point=target,
     )
 
@@ -50,7 +48,6 @@ def chair_attributes(center=(0.7, 0.0), grip=(0.54, 0.0, 0.55), target=(2.0, 0.0
         kind="chair",
         handle_position=grip,
         object_pose=(center[0], center[1], 0.0),
-        size_extents=(0.32, 0.68, 0.7),
         target_point=target,
     )
 

@@ -6,8 +6,10 @@ import pytest
 
 from heurobot.core import (
     DUAL_ARM,
+    READY_POSE,
     SINGLE_ARM,
     ActionIndexMap,
+    ObjectAttributes,
     RobotConfig,
     add,
     clamp,
@@ -16,6 +18,7 @@ from heurobot.core import (
     wrap_angle,
 )
 from heurobot.mockenv import MockEnv
+from heurobot.orchestrator import EpisodeResult
 
 
 def test_new_action_is_all_zeros():
@@ -106,13 +109,21 @@ def test_robot_config_validation():
         RobotConfig(arms=())
     with pytest.raises(ValueError):
         RobotConfig(arms=("middle",))
-    with pytest.raises(ValueError):
-        RobotConfig(joints_per_arm=0)
-    # a float or bool would compare equal to an int config and share its cached index map
-    with pytest.raises(ValueError, match="positive int"):
-        RobotConfig(joints_per_arm=8.0)
-    with pytest.raises(ValueError, match="positive int"):
-        RobotConfig(joints_per_arm=True)
+    # the joint count is a class constant, not a setting
+    with pytest.raises(TypeError):
+        RobotConfig(joints_per_arm=2)
+
+
+def test_every_arm_has_one_joint_per_ready_pose_value():
+    assert RobotConfig._fields == ("arms",)
+    assert SINGLE_ARM.joints_per_arm == DUAL_ARM.joints_per_arm == len(READY_POSE) == 8
+    for robot in (SINGLE_ARM, DUAL_ARM):
+        assert all(len(slots) == len(READY_POSE) for slots in ActionIndexMap.for_robot(robot).joint_slots)
+
+
+def test_records_carry_no_unread_fields():
+    assert "size_extents" not in ObjectAttributes._fields
+    assert "subtask_steps" not in EpisodeResult._fields
 
 
 @pytest.mark.parametrize(
@@ -131,9 +142,7 @@ def test_robot_config_copies_are_checked_too():
     with pytest.raises(ValueError, match="invalid arm set"):
         DUAL_ARM._replace(arms=("right", "left"))
     with pytest.raises(ValueError, match="invalid arm set"):
-        RobotConfig._make([("left", "left"), 8])
-    with pytest.raises(ValueError, match="joints_per_arm"):
-        SINGLE_ARM._replace(joints_per_arm=0)
+        RobotConfig._make([("left", "left")])
     assert pickle.loads(pickle.dumps(DUAL_ARM)) == DUAL_ARM
 
 

@@ -121,6 +121,8 @@ def test_carry_is_set_exactly_while_every_arm_grasps(task_kind):
         for act in [*actions, None]:
             state = env.state
             assert (state.carry is not None) == (carries and all(state.grasping)), f"seed {seed}, step {state.step}"
+            # the attach step does not reset the count, so a new grasp relies on it being 0 here
+            assert all(count == 0 for count, held in zip(state.open_counts, state.grasping) if not held)
             held_steps += all(state.grasping)
             if act is not None:
                 env.step(act)

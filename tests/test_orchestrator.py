@@ -64,13 +64,14 @@ def test_marker_consumes_no_environment_step():
     marker_index = next(i for i, e in enumerate(plan.entries) if e.kind == "stabilizer_on")
     assert marker_index not in result.subtask_trace
     assert len(result.subtask_trace) == result.steps == len(result.trajectory)
-    assert result.subtask_steps[marker_index] == 0
 
 
 def test_exactly_one_subtask_stepped_per_env_step():
     for task_kind in TASK_KINDS:
-        result = run_episode(task_kind, builtin_plan(task_kind), None, seed=5)
-        assert sum(result.subtask_steps) == result.steps
+        plan = builtin_plan(task_kind)
+        result = run_episode(task_kind, plan, None, seed=5)
+        assert len(result.subtask_trace) == result.steps
+        assert all(plan.entries[i].kind != "stabilizer_on" for i in result.subtask_trace)
 
 
 def test_stabilizer_silent_before_marker_active_after():
@@ -123,8 +124,8 @@ def test_subtask_errors_become_failed_results(monkeypatch, fail_at):
     assert not result.success
     assert result.error is not None and f"step {fail_at}" in result.error
     assert result.steps == fail_at
-    # only the steps the env completed count, so the per-entry count matches the trace
-    assert result.subtask_steps == (fail_at,) and result.subtask_trace == (0,) * fail_at
+    # only the steps the env completed are recorded
+    assert result.subtask_trace == (0,) * fail_at
 
 
 @pytest.mark.parametrize("task_kind", TASK_KINDS)
@@ -173,6 +174,15 @@ def test_batch_rejects_jobs_below_one(jobs):
         run_batch("open_cabinet_door", idle_plan(), None, [1], jobs=jobs)
 
 
+@pytest.mark.parametrize("jobs", [True, 2.5, "2"], ids=["bool", "float", "str"])
+def test_batch_rejects_jobs_that_is_not_an_int(monkeypatch, jobs):
+    started, written = [], []
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", lambda max_workers: started.append(max_workers))
+    with pytest.raises(ValueError, match="integer jobs"):
+        run_batch("open_cabinet_door", idle_plan(), None, [1, 2, 3], jobs=jobs, write=written.append)
+    assert written == [] and started == []
+
+
 def test_resolve_error_fails_its_episode_not_the_batch(monkeypatch):
     real_resolve = orchestrator.resolve
     calls = []
@@ -189,7 +199,6 @@ def test_resolve_error_fails_its_episode_not_the_batch(monkeypatch):
     failed = batch.results[1]
     assert (failed.seed, failed.success, failed.steps) == (2, False, 0)
     assert failed.trajectory == () and failed.subtask_trace == ()
-    assert failed.subtask_steps == (0,) * len(plan.entries)
     assert failed.error is not None and "coincides" in failed.error
     assert all(r.success and r.error is None for r in (batch.results[0], batch.results[2]))
     assert batch.success_rate == pytest.approx(2 / 3)

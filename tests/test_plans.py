@@ -86,6 +86,19 @@ def test_serialize_load_round_trip(task_kind):
     assert json.loads(serialize_plan(plan)) == json.loads(bundled)
 
 
+@pytest.mark.parametrize("task_kind", TASK_KINDS)
+def test_builtin_plan_is_a_hashable_value(task_kind):
+    plan = builtin_plan(task_kind)
+    assert hash(plan) == hash(load_plan(serialize_plan(plan)))
+    move_steps = [e for e in plan.entries if isinstance(e, MoveSteps) and e.action]
+    assert move_steps
+    for entry in move_steps:
+        slot, value = entry.action[0]
+        with pytest.raises(TypeError):
+            entry.action[slot] = 0.9
+    assert builtin_plan(task_kind) == load_plan(serialize_plan(plan))
+
+
 def test_readme_plan_example_loads():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     section = readme.split("## Plan documents", 1)[1]

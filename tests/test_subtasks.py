@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from heurobot.core import DUAL_ARM, SINGLE_ARM, ActionIndexMap, RobotConfig
+from heurobot.core import DUAL_ARM, READY_POSE, SINGLE_ARM, ActionIndexMap
 from heurobot.subtasks import SELECTORS, STABILIZER_GAIN, ArmStabilizer, MoveSteps, MoveTo, SubTaskError
 
 from helpers import make_obs, robot_state
@@ -15,7 +15,7 @@ def obs_at(x):
 
 
 def move_steps(vector, steps):
-    return MoveSteps("move_steps", {}, steps, vector)
+    return MoveSteps("move_steps", (), steps, vector)
 
 
 def move_to(target, index, dim, velocity, threshold, selector="platform_x"):
@@ -195,56 +195,62 @@ def test_joint_selectors_are_the_dual_arm_joint_slots():
 # -------------------------------------------------------------- stabilizer
 
 
-def two_joint_map():
-    return ActionIndexMap.for_robot(RobotConfig(arms=("left",), joints_per_arm=2))
+def one_arm_map():
+    return ActionIndexMap.for_robot(SINGLE_ARM)
 
 
-def obs_for_joints(index_map, joints):
-    arms = tuple(tuple(j) for j in joints)
-    return make_obs(robot=robot_state(arm_joints=arms))
+def pose(*angles):
+    """An arm pose with the given leading joint angles and every other joint at 0."""
+    return angles + (0.0,) * (len(READY_POSE) - len(angles))
+
+
+def obs_for_joints(joints):
+    return make_obs(robot=robot_state(arm_joints=joints))
 
 
 def test_stabilizer_init_builds_one_corrector_per_joint():
-    m = two_joint_map()
-    stab = ArmStabilizer(m, ((0.1, -0.3),))
+    m = one_arm_map()
+    stab = ArmStabilizer(m, (pose(0.1, -0.3),))
     j0, j1 = m.joint_slots[0][0], m.joint_slots[0][1]
     # one channel per joint, each pushing toward its own reference angle
-    first = stab.step(obs_for_joints(m, ((0.5, -0.5),)))
+    first = stab.step(obs_for_joints((pose(0.5, -0.5),)))
     assert first[j0] == -STABILIZER_GAIN and first[j1] == STABILIZER_GAIN
-    assert all(v == 0.0 for i, v in enumerate(first) if i not in (j0, j1))
+    assert all(v == 0.0 for i, v in enumerate(first) if i not in m.joint_slots[0])
     # threshold 0.01: inside the band a joint settles after one emission, outside it does not
-    near = obs_for_joints(m, ((0.1 + 0.009, -0.3 - 0.011),))
+    near = obs_for_joints((pose(0.1 + 0.009, -0.3 - 0.011),))
     stab.step(near)
     second = stab.step(near)
     assert second[j0] == 0.0 and second[j1] != 0.0
 
 
 def test_stabilizer_rejects_empty_or_mismatched_reference():
-    m = two_joint_map()
+    m = one_arm_map()
     with pytest.raises(ValueError):
         ArmStabilizer(m, ())
     with pytest.raises(ValueError):
         ArmStabilizer(m, ((),))
     with pytest.raises(ValueError):
         ArmStabilizer(m, ((0.1, 0.2, 0.3),))
+    with pytest.raises(ValueError):
+        ArmStabilizer(m, (pose() + (0.0,),))
 
 
 def test_stabilizer_at_reference_fires_once_then_goes_quiet():
-    m = two_joint_map()
-    stab = ArmStabilizer(m, ((0.1, -0.3),))
-    obs = obs_for_joints(m, ((0.1, -0.3),))
+    m = one_arm_map()
+    stab = ArmStabilizer(m, (pose(0.1, -0.3),))
+    obs = obs_for_joints((pose(0.1, -0.3),))
     first = stab.step(obs)
     j0, j1 = m.joint_slots[0][0], m.joint_slots[0][1]
     assert abs(first[j0]) == STABILIZER_GAIN and abs(first[j1]) == STABILIZER_GAIN
-    assert all(v == 0.0 for i, v in enumerate(first) if i not in (j0, j1))
+    assert all(v == 0.0 for i, v in enumerate(first) if i not in m.joint_slots[0])
     for _ in range(3):
         assert all(v == 0.0 for v in stab.step(obs))
 
 
 def test_stabilizer_corrects_displaced_joint_toward_reference():
-    m = two_joint_map()
-    stab = ArmStabilizer(m, ((0.0, 0.0),))
-    obs = obs_for_joints(m, ((0.5, 0.0),))
+    m = one_arm_map()
+    stab = ArmStabilizer(m, (pose(),))
+    obs = obs_for_joints((pose(0.5),))
     out = stab.step(obs)
     assert out[m.joint_slots[0][0]] == -STABILIZER_GAIN  # pushes back down
     # zero outside the stabilized joint slots
@@ -253,32 +259,32 @@ def test_stabilizer_corrects_displaced_joint_toward_reference():
 
 
 def test_stabilizer_rearms_after_convergence():
-    m = two_joint_map()
-    stab = ArmStabilizer(m, ((0.0, 0.0),))
-    settled = obs_for_joints(m, ((0.0, 0.0),))
+    m = one_arm_map()
+    stab = ArmStabilizer(m, (pose(),))
+    settled = obs_for_joints((pose(),))
     stab.step(settled)
     assert all(v == 0.0 for v in stab.step(settled))
-    disturbed = obs_for_joints(m, ((0.2, 0.0),))
+    disturbed = obs_for_joints((pose(0.2),))
     out = stab.step(disturbed)
     assert out[m.joint_slots[0][0]] != 0.0
 
 
 def test_stabilizer_gain_decays_geometrically_with_floor():
-    m = two_joint_map()
-    stab = ArmStabilizer(m, ((0.0, 0.0),))
-    obs = obs_for_joints(m, ((1.0, 1.0),))
+    m = one_arm_map()
+    stab = ArmStabilizer(m, (pose(),))
+    obs = obs_for_joints((pose(1.0, 1.0),))
     gains = [abs(stab.step(obs)[m.joint_slots[0][0]]) for _ in range(470)]
     assert gains == [max(0.2 * 0.995**k, 0.02) for k in range(470)]
     assert gains[0] == 0.2 and gains[-1] == 0.02  # the floor is reached within the window
 
 
 def test_stabilizer_dual_arm_reference():
-    m = ActionIndexMap.for_robot(RobotConfig(arms=("left", "right"), joints_per_arm=2))
-    stab = ArmStabilizer(m, ((0.0, 0.0), (0.1, 0.1)))
-    obs = obs_for_joints(m, ((0.0, 0.0), (0.1, 0.1)))
+    m = ActionIndexMap.for_robot(DUAL_ARM)
+    stab = ArmStabilizer(m, (pose(), pose(0.1, 0.1)))
+    obs = obs_for_joints((pose(), pose(0.1, 0.1)))
     first = stab.step(obs)
     joint_slots = set(m.joint_slots[0]) | set(m.joint_slots[1])
-    assert len(joint_slots) == 4
+    assert len(joint_slots) == 16
     assert all(abs(first[i]) == STABILIZER_GAIN for i in joint_slots)
     assert all(v == 0.0 for i, v in enumerate(first) if i not in joint_slots)
     assert all(v == 0.0 for v in stab.step(obs))
@@ -286,17 +292,15 @@ def test_stabilizer_dual_arm_reference():
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
 def test_stabilizer_non_finite_joint_is_an_error(bad):
-    m = two_joint_map()
-    stab = ArmStabilizer(m, ((0.0, 0.0),))
+    stab = ArmStabilizer(one_arm_map(), (pose(),))
     with pytest.raises(SubTaskError, match="non-finite"):
-        stab.step(obs_for_joints(m, ((0.0, bad),)))
+        stab.step(obs_for_joints((pose(0.0, bad),)))
 
 
 def test_stabilizer_missing_joint_is_an_error():
-    m = ActionIndexMap.for_robot(RobotConfig(arms=("left", "right"), joints_per_arm=2))
-    stab = ArmStabilizer(m, ((0.0, 0.0), (0.0, 0.0)))
+    stab = ArmStabilizer(ActionIndexMap.for_robot(DUAL_ARM), (pose(), pose()))
     with pytest.raises(SubTaskError, match="not present"):
-        stab.step(obs_for_joints(m, ((0.0, 0.0),)))
+        stab.step(obs_for_joints((pose(),)))
 
 
 class CorrectorBankOracle:
@@ -349,7 +353,7 @@ def test_stabilizer_matches_corrector_bank_oracle(robot):
     previous = None
     settles = rearms = 0
     for _ in range(600):
-        obs = obs_for_joints(m, joints)
+        obs = obs_for_joints(joints)
         want, got = oracle.step(obs), stab.step(obs)
         assert json.dumps(got) == json.dumps(want)  # same bytes, signed zeros included
         if previous is not None:
