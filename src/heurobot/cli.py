@@ -22,12 +22,16 @@ from pathlib import Path
 from .core import TASK_KINDS, loads_json
 from .mockenv import EnvConfig
 from .orchestrator import EpisodeResult, run_batch
-from .plans import PlanError, builtin_plan, load_plan
+from .plans import builtin_plan, load_plan
 from .trajlog import format_report_table, read_summary, report_rows, write_summary, write_trajectory
 
 
+MAX_SEEDS = 100_000  # seeds one range may name; checked before the list is built
+
+
 def parse_seeds(text: str) -> list[int]:
-    """Seed list syntax: a single integer, an inclusive range A..B, or a comma list of distinct seeds."""
+    """Seed list syntax: a single integer, an inclusive range A..B of at most
+    ``MAX_SEEDS`` seeds, or a comma list of distinct seeds."""
     text = text.strip()
     if not text:
         raise ValueError("empty seed list")
@@ -41,6 +45,8 @@ def parse_seeds(text: str) -> list[int]:
         lo, hi = int(lo_text), int(hi_text)
         if hi < lo:
             raise ValueError(f"seed range {text!r} is empty")
+        if hi - lo >= MAX_SEEDS:
+            raise ValueError(f"seed range {text!r} has more than {MAX_SEEDS} seeds")
         return list(range(lo, hi + 1))
     return [int(text)]
 
@@ -59,35 +65,23 @@ def _write_log(out_dir: Path, config: EnvConfig, plan_source: str, result: Episo
 def cmd_run(args: argparse.Namespace) -> int:
     try:
         seeds = parse_seeds(args.seeds)
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    if args.jobs < 1:
-        print(f"error: --jobs must be >= 1, got {args.jobs}", file=sys.stderr)
-        return 2
-    try:
+        if args.jobs < 1:
+            raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
         if args.plan == "builtin":
-            plan = builtin_plan(args.task)
-            plan_source = "builtin"
+            plan, plan_source = builtin_plan(args.task), "builtin"
         else:
             plan = load_plan(Path(args.plan).read_text(encoding="utf-8"))
             plan_source = str(args.plan)
         if plan.task_kind != args.task:
-            print(f"error: plan is for {plan.task_kind!r}, not {args.task!r}", file=sys.stderr)
-            return 2
+            raise ValueError(f"plan is for {plan.task_kind!r}, not {args.task!r}")
         config = _load_config(args.config)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-    except (OSError, ValueError, PlanError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-
-    write = functools.partial(_write_log, out_dir, config, plan_source)
-    summary_path = out_dir / f"{args.task}_summary.json"
-    try:
+        write = functools.partial(_write_log, out_dir, config, plan_source)
+        summary_path = out_dir / f"{args.task}_summary.json"
         batch = run_batch(args.task, plan, config, seeds, jobs=args.jobs, write=write)
         write_summary(summary_path, batch, config, plan_source, seeds)
-    except OSError as e:
+    except (OSError, ValueError) as e:  # PlanError is a ValueError
         print(f"error: {e}", file=sys.stderr)
         return 2
     if not args.quiet:

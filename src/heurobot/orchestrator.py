@@ -1,13 +1,15 @@
 """Closed-loop episode runner.
 
-Each iteration the first unfinished plan entry produces one action, the
-stabilizer contribution (once its marker has been passed) is added, the sum
-is clamped and handed to the environment; this is the only place an action
+An outer loop runs the plan entries in order, each in an inner loop of its
+own. The ``StabilizerOn`` marker switches the stabilizer on at the current
+pose and consumes no environment step. Any other entry steps until it
+reports done: each step it produces one action, the stabilizer
+contribution (once its marker has been passed) is added, the sum is
+clamped and handed to the environment; this is the only place an action
 is saturated. Episodes stop on task success, on the step cap, or when every
-entry has finished. The entries keep no state: this loop holds the targets
-``resolve`` evaluated, the current entry, the steps it has taken and
-whether it has finished. Markers consume no environment steps: enabling the
-stabilizer and stepping the next entry happen within the same iteration.
+entry has finished. The entries keep no state: the outer loop holds the
+targets ``resolve`` evaluated, the inner loop the steps its entry has taken
+and whether it has finished.
 A plan that cannot be resolved against the first observation, or an error
 inside a step, fails that episode with its ``error`` set; it never ends the
 batch. Each ``StepRecord`` keeps the observation its sub-task saw, so the
@@ -68,42 +70,35 @@ def run_episode(task_kind: str, plan: Plan, env_config: EnvConfig | None = None,
         raise ValueError(f"plan is for {plan.task_kind!r}, episode requested {task_kind!r}")
     env = MockEnv(task_kind, env_config)
     obs = env.reset(seed)
-    try:
-        targets = resolve(plan, obs)
-    except Exception as e:  # noqa: BLE001 - episode failures must not kill a batch
-        return EpisodeResult(task_kind, seed, success=False, steps=0, trajectory=(), error=f"resolve: {e}")
-    entries = plan.entries
     zeros = new_action(env.index_map.dim)
-
     stabilizer: ArmStabilizer | None = None
-    idx = 0
-    taken = 0  # steps of entries[idx] so far
-    finished = False  # entries[idx] reported done on its last step
     records: list[StepRecord] = []
     done = False
     error: str | None = None
+    try:
+        targets = resolve(plan, obs)
+    except Exception as e:  # noqa: BLE001 - episode failures must not kill a batch
+        targets, error = [], f"resolve: {e}"
 
-    while not done:
-        while idx < len(entries):
-            entry = entries[idx]
-            if isinstance(entry, StabilizerOn):  # a plan has at most one, and each entry is passed once
-                stabilizer = ArmStabilizer(env.index_map, obs.robot.arm_joints)
-            elif not finished:
-                break
-            idx, taken, finished = idx + 1, 0, False
-        if idx >= len(entries):
-            break  # plan exhausted without success
-        try:
-            main, finished = entry.step(obs, targets[idx], taken)
-            stab = stabilizer.step(obs) if stabilizer is not None else zeros
-            final = clamp(add(main, stab))
-            record = StepRecord(entry.label, idx, final, main, stab, obs)
-            obs, done = env.step(final)
-        except Exception as e:  # noqa: BLE001 - episode failures must not kill a batch
-            error = f"step {len(records)}: {e}"
+    for idx, (entry, target) in enumerate(zip(plan.entries, targets)):
+        if done or error is not None:
             break
-        taken += 1
-        records.append(record)
+        if isinstance(entry, StabilizerOn):  # a plan has at most one
+            stabilizer = ArmStabilizer(env.index_map, obs.robot.arm_joints)
+            continue
+        taken, finished = 0, False
+        while not (finished or done):
+            try:
+                main, finished = entry.step(obs, target, taken)
+                stab = stabilizer.step(obs) if stabilizer is not None else zeros
+                final = clamp(add(main, stab))
+                record = StepRecord(entry.label, idx, final, main, stab, obs)
+                obs, done = env.step(final)
+            except Exception as e:  # noqa: BLE001 - episode failures must not kill a batch
+                error = f"step {len(records)}: {e}"
+                break
+            taken += 1
+            records.append(record)
 
     return EpisodeResult(
         task_kind=task_kind,

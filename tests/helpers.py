@@ -1,4 +1,7 @@
-"""Observation builders shared by the test modules."""
+"""Observation builders and input fuzzers shared by the test modules."""
+
+import copy
+import math
 
 from heurobot.core import ObjectAttributes, Observation, RobotState
 
@@ -58,3 +61,41 @@ def make_obs(robot=None, obj=None, step_index=0):
         object=obj if obj is not None else door_attributes(),
         step_index=step_index,
     )
+
+
+# JSON values of every type, including ones a reader must not take for numbers
+JUNK_VALUES = ("", "x", "1", True, False, None, [], [1], {}, {"kind": "summary"},
+               math.nan, math.inf, -1, 0, 2.5, 10**400)
+
+
+def mutate_json(rng, doc):
+    """A copy of a decoded JSON document with one random node replaced, removed or given a junk sibling."""
+    doc = copy.deepcopy(doc)
+    parent, key, node = None, None, doc
+    while isinstance(node, (dict, list)) and node and rng.random() < 0.7:
+        parent, key = node, rng.choice(sorted(node) if isinstance(node, dict) else range(len(node)))
+        node = node[key]
+    junk = copy.deepcopy(rng.choice(JUNK_VALUES))
+    if parent is None:
+        return junk
+    op = rng.randrange(5)
+    if op == 0:
+        del parent[key]
+    elif op == 1 and isinstance(parent, dict):
+        parent["junk"] = junk
+    elif op == 1:
+        parent.append(junk)
+    else:
+        parent[key] = junk
+    return doc
+
+
+def mutate_bytes(rng, data):
+    """``data`` with one random byte overwritten, one inserted, or a short run deleted."""
+    i = rng.randrange(len(data))
+    op = rng.randrange(3)
+    if op == 0:
+        return data[:i] + bytes([rng.randrange(256)]) + data[i + 1 :]
+    if op == 1:
+        return data[:i] + bytes([rng.randrange(256)]) + data[i:]
+    return data[:i] + data[i + rng.randint(1, 16) :]

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -9,10 +10,12 @@ import pytest
 
 import heurobot
 
-from heurobot.cli import main, parse_seeds
+from heurobot.cli import MAX_SEEDS, main, parse_seeds
 from heurobot.core import TASK_KINDS
 from heurobot.plans import builtin_plan, serialize_plan
-from heurobot.trajlog import read_summary, read_trajectory
+from heurobot.trajlog import format_report_table, read_summary, read_trajectory, report_rows
+
+from helpers import mutate_bytes, mutate_json
 
 
 def run_dir_files(path):
@@ -49,6 +52,10 @@ def test_parse_seeds():
         parse_seeds("abc")
     with pytest.raises(ValueError, match="repeats"):
         parse_seeds("1,2,1")
+    assert len(parse_seeds(f"1..{MAX_SEEDS}")) == MAX_SEEDS
+    for text in (f"0..{MAX_SEEDS}", "0..100000000000000000000"):
+        with pytest.raises(ValueError, match=f"more than {MAX_SEEDS} seeds"):
+            parse_seeds(text)
 
 
 def test_run_writes_logs_and_summary(tmp_path, capsys):
@@ -271,6 +278,49 @@ def test_read_trajectory_rejects_malformed_files_with_value_error(tmp_path, text
         read_trajectory(path)
 
 
+def short_door_run(tmp_path):
+    """The output directory of a two-episode, six-step door run."""
+    config, out = tmp_path / "config.json", tmp_path / "runs"
+    config.write_text('{"max_steps": 6}')
+    assert main(["run", "--task", "open_cabinet_door", "--seeds", "1..2", "--config", str(config), "--out", str(out),
+                 "--quiet"]) == 0
+    return out
+
+
+def test_fuzzed_trajectory_logs_read_or_raise_value_error(tmp_path):
+    log = short_door_run(tmp_path) / "open_cabinet_door_seed00001.jsonl"
+    data, lines = log.read_bytes(), [json.loads(line) for line in log.read_text().splitlines()]
+    rng = random.Random("trajectory-fuzz")
+    rejected = 0
+    for i in range(200):
+        if i % 2:
+            log.write_bytes(mutate_bytes(rng, data))
+        else:
+            doc = mutate_json(rng, lines)
+            log.write_text("".join(json.dumps(line) + "\n" for line in (doc if isinstance(doc, list) else [doc])))
+        try:
+            read_trajectory(log)
+        except ValueError:
+            rejected += 1
+    assert 0 < rejected < 200
+
+
+def test_fuzzed_summaries_report_or_raise_value_error(tmp_path):
+    summary = short_door_run(tmp_path) / "open_cabinet_door_summary.json"
+    data, doc = summary.read_bytes(), json.loads(summary.read_text())
+    rng = random.Random("summary-fuzz")
+    rejected = 0
+    for i in range(200):
+        summary.write_bytes(mutate_bytes(rng, data) if i % 2 else json.dumps(mutate_json(rng, doc)).encode())
+        try:
+            rows = report_rows([read_summary(summary)])
+        except ValueError:
+            rejected += 1
+            continue
+        assert format_report_table(rows).count("\n") == 2
+    assert 0 < rejected < 200
+
+
 def test_report_rejects_trajectory_files(tmp_path, capsys):
     out = tmp_path / "runs"
     assert main(["run", "--task", "open_cabinet_door", "--seeds", "1", "--out", str(out), "--quiet"]) == 0
@@ -289,14 +339,15 @@ def test_report_rejects_trajectory_files(tmp_path, capsys):
         (None, "[" * 100000, []),
         (None, None, ["--out", "{taken}"]),
         (None, None, ["--seeds", "1,2,1"]),
+        (None, None, ["--seeds", "0..100000000000000000000"]),
         (None, None, ["--out", "{log_is_a_dir}"]),
         (None, None, ["--out", "{log_is_a_dir}", "--seeds", "0..3", "--jobs", "2"]),
         (None, None, ["--out", "{summary_is_a_dir}"]),
     ],
     ids=[
         "string_steps", "door_goal_point_target", "string_dt", "zero_jobs", "config_nested_too_deep",
-        "out_is_a_file", "repeated_seed", "log_path_is_a_directory", "log_path_is_a_directory_jobs2",
-        "summary_path_is_a_directory",
+        "out_is_a_file", "repeated_seed", "unbounded_seed_range", "log_path_is_a_directory",
+        "log_path_is_a_directory_jobs2", "summary_path_is_a_directory",
     ],
 )
 def test_run_rejects_bad_input_with_one_error_line(tmp_path, entry_edit, config, extra):

@@ -19,6 +19,8 @@ from heurobot.mockenv import (
 from heurobot.orchestrator import run_episode
 from heurobot.plans import builtin_plan
 
+from helpers import mutate_json
+
 QUIET = EnvConfig(disturbance_std=1e-12)  # effectively noise-free
 
 
@@ -486,6 +488,19 @@ def test_env_config_rejects_wrong_typed_and_non_finite_fields(data):
 def test_env_config_must_be_an_object(data):
     with pytest.raises(ValueError, match="JSON object"):
         EnvConfig.from_mapping(data)
+
+
+def test_fuzzed_env_configs_parse_or_raise_value_error():
+    rng = random.Random("config-fuzz")
+    default = EnvConfig().to_mapping()
+    rejected = 0
+    for _ in range(300):
+        data = mutate_json(rng, default)
+        try:
+            EnvConfig.from_mapping(data)
+        except ValueError:
+            rejected += 1
+    assert 0 < rejected < 300
 
 
 def test_env_config_rejects_unknown_keys_and_bad_values():

@@ -1,14 +1,16 @@
 import concurrent.futures
 import functools
 import os
+from typing import NamedTuple
 
 import pytest
 
 from heurobot import orchestrator
-from heurobot.core import TASK_KINDS
+from heurobot.core import TASK_KINDS, new_action
 from heurobot.mockenv import EnvConfig, MockEnv
 from heurobot.orchestrator import replay_actions, run_batch, run_episode
-from heurobot.plans import PlanError, builtin_plan, parse_plan
+from heurobot.plans import Plan, PlanError, StabilizerOn, builtin_plan, parse_plan
+from heurobot.subtasks import MoveSteps, MoveTo
 
 
 def idle_plan(task_kind="open_cabinet_door", steps=5):
@@ -126,6 +128,59 @@ def test_subtask_errors_become_failed_results(monkeypatch, fail_at):
     assert result.steps == fail_at
     # only the steps the env completed are recorded
     assert result.subtask_trace == (0,) * fail_at
+
+
+# Hand-built door plans (13 action dimensions): a ``Plan`` built without the
+# parser, to pin how the runner moves from one entry to the next.
+DOOR_DIM = 13
+
+
+def idle(steps, label="idle"):
+    return MoveSteps(label, (), steps, new_action(DOOR_DIM))
+
+
+class RecordingEntry(NamedTuple):
+    """An entry that records every step it is asked for and finishes at once."""
+
+    label: str
+    calls: list
+
+    def step(self, obs, target, taken):
+        self.calls.append(taken)
+        return new_action(DOOR_DIM), True
+
+
+def test_marker_as_first_entry_stabilizes_from_step_zero():
+    result = run_episode("open_cabinet_door", Plan("open_cabinet_door", (StabilizerOn("hold"), idle(3))), seed=1)
+    assert result.error is None
+    assert result.subtask_trace == (1, 1, 1)
+    assert any(v != 0.0 for v in result.trajectory[0].stabilizer_action)
+
+
+@pytest.mark.parametrize("before, trace", [((), ()), ((idle(3),), (0, 0, 0))], ids=["marker_only", "after_idle"])
+def test_marker_as_last_entry_takes_no_step_and_raises_nothing(before, trace):
+    result = run_episode("open_cabinet_door", Plan("open_cabinet_door", (*before, StabilizerOn("hold"))), seed=1)
+    assert result.error is None and not result.success
+    assert result.subtask_trace == trace
+    assert all(v == 0.0 for rec in result.trajectory for v in rec.stabilizer_action)
+
+
+def test_entry_finishing_on_the_last_allowed_step_ends_the_episode():
+    later = RecordingEntry("later", [])
+    plan = Plan("open_cabinet_door", (idle(3), later))
+    result = run_episode("open_cabinet_door", plan, EnvConfig(max_steps=3), seed=1)
+    assert result.error is None
+    assert result.subtask_trace == (0, 0, 0)
+    assert later.calls == []
+
+
+def test_error_in_an_entry_stops_every_later_entry():
+    broken = MoveTo("broken", "platform_x", "no_such_selector", 0.0, 0.5, 0.01, 0, DOOR_DIM)
+    later = RecordingEntry("later", [])
+    result = run_episode("open_cabinet_door", Plan("open_cabinet_door", (idle(2), broken, later)), seed=1)
+    assert result.error == "step 2: 'no_such_selector'"
+    assert result.subtask_trace == (0, 0)
+    assert later.calls == []
 
 
 @pytest.mark.parametrize("task_kind", TASK_KINDS)
