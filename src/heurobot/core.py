@@ -19,6 +19,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import operator
 import sys
 from typing import NamedTuple
 
@@ -57,7 +58,7 @@ def add(a: Action, b: Action) -> Action:
     """Component-wise sum, intentionally not clamped."""
     if len(a) != len(b):
         raise ValueError(f"action dimension mismatch: {len(a)} vs {len(b)}")
-    return tuple([x + y for x, y in zip(a, b)])
+    return tuple(map(operator.add, a, b))
 
 
 def one_hot(dim: int, index: int, value: float) -> Action:
@@ -199,8 +200,9 @@ def axis_mean(points: tuple[Point3, ...], axis: int) -> float:
 
 
 def midpoint(points: tuple[Point3, ...]) -> Point3:
-    """Mean of the points, each axis by ``axis_mean``."""
-    return (axis_mean(points, 0), axis_mean(points, 1), axis_mean(points, 2))
+    """Mean of the points, each axis summed as ``axis_mean`` sums it: in point order, from the int 0."""
+    n = len(points)
+    return tuple([sum(axis) / n for axis in zip(*points)])
 
 
 class RobotState(NamedTuple):

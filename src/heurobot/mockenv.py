@@ -496,20 +496,13 @@ class MockEnv:
         state = self.state
         kind = self.object_kind
         px, py, ph, yaw = state.platform
-        robot = RobotState(
-            platform_x=px,
-            platform_y=py,
-            platform_height=ph,
-            platform_yaw=yaw,
-            arm_joints=tuple(map(tuple, state.joints)),
-            finger_positions=state.fingers,
-            grasping=tuple(state.grasping),
-        )
+        # positional: a keyword call to a NamedTuple costs about twice as much, once per step
+        robot = RobotState(px, py, ph, yaw, tuple(map(tuple, state.joints)), state.fingers, tuple(state.grasping))
         obj = ObjectAttributes(
-            kind=kind,
-            handle_position=self._handle_position(),
-            object_pose=(state.object_xy[0], state.object_xy[1], state.object_yaw),
-            articulation_value=state.articulation if kind in ARTICULATED_OBJECTS else None,
-            target_point=state.layout.target,
+            kind,
+            self._handle_position(),
+            (state.object_xy[0], state.object_xy[1], state.object_yaw),
+            state.articulation if kind in ARTICULATED_OBJECTS else None,
+            state.layout.target,
         )
-        return Observation(robot=robot, object=obj, step_index=state.step)
+        return Observation(robot, obj, state.step)

@@ -23,6 +23,7 @@ error cross the process boundary.
 
 from __future__ import annotations
 
+import os
 from collections.abc import Callable
 from functools import partial
 from typing import NamedTuple
@@ -140,8 +141,9 @@ def run_batch(
     raises ends the batch. Without ``write`` at ``jobs > 1``, each result
     crosses the process boundary with its whole trajectory, every step's
     observation included (72,875 pickled bytes for the 94-step
-    ``move_bucket`` seed 3). At most ``len(seeds)`` workers are started, and a
-    single worker runs in this process.
+    ``move_bucket`` seed 3). At most ``len(seeds)`` workers are started, and
+    no more than ``os.cpu_count()``, since the pool forks all of them at the
+    first submit; a single worker runs in this process.
     """
     seeds = [check_seed(s) for s in seeds]
     if not seeds:
@@ -149,7 +151,7 @@ def run_batch(
     if type(jobs) is not int or jobs < 1:
         raise ValueError(f"run_batch requires an integer jobs >= 1, got {jobs!r}")
     job = partial(_episode_job, task_kind, plan, env_config, write)
-    jobs = min(jobs, len(seeds))
+    jobs = min(jobs, len(seeds), os.cpu_count() or 1)
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor  # imported here so serial runs never load it
 

@@ -150,19 +150,21 @@ class ArmStabilizer:
         g = self.gain
         settled = self._settled
         joints = obs.robot.arm_joints
+        isfinite = math.isfinite
         out = [0.0] * self.index_map.dim
         for k, (arm, joint, slot, target) in enumerate(self._joints):
             try:
                 x = joints[arm][joint]
             except IndexError:
                 raise SubTaskError(f"arm joint ({arm}, {joint}) not present in observation") from None
-            if not math.isfinite(x):
+            if not isfinite(x):
                 name = self.index_map.robot.arms[arm]
                 raise SubTaskError(f"stabilize_{name}_joint_{joint}: selector returned non-finite value {x!r}")
             d = target - x
-            if settled[k] and abs(d) < STABILIZER_THRESHOLD:
+            inside = abs(d) < STABILIZER_THRESHOLD
+            if settled[k] and inside:
                 continue  # settled and still inside the band
             out[slot] = g if d > 0 else -g
-            settled[k] = abs(d) < STABILIZER_THRESHOLD
+            settled[k] = inside
         self.steps_taken += 1
         return tuple(out)

@@ -12,7 +12,9 @@ from heurobot.core import (
     ObjectAttributes,
     RobotConfig,
     add,
+    axis_mean,
     clamp,
+    midpoint,
     new_action,
     one_hot,
     wrap_angle,
@@ -62,6 +64,32 @@ def test_add_does_not_clamp_but_clamp_after_add_does():
     summed = add((0.8, 0.1), (0.8, 0.0))
     assert summed == (1.6, 0.1)
     assert clamp(summed) == (1.0, 0.1)
+
+
+def test_add_is_the_per_component_float_sum_signed_zeros_and_nan_included():
+    a = (-0.0, -0.0, 0.0, math.inf, 0.1, -1.0)
+    b = (-0.0, 0.0, -0.0, -math.inf, 0.2, 1.0)
+    assert repr(add(a, b)) == repr(tuple(x + y for x, y in zip(a, b)))
+    assert repr(add(a, b)[:4]) == "(-0.0, 0.0, 0.0, nan)"
+    rng = random.Random(17)
+    for _ in range(200):
+        dim = rng.randint(1, 22)
+        a = tuple(rng.choice((-0.0, 0.0, rng.uniform(-1, 1))) for _ in range(dim))
+        b = tuple(rng.choice((-0.0, 0.0, rng.uniform(-1, 1))) for _ in range(dim))
+        assert repr(add(a, b)) == repr(tuple(x + y for x, y in zip(a, b)))
+
+
+def random_point(rng):
+    return tuple(rng.choice((-0.0, 0.0, rng.uniform(-2, 2))) for _ in range(3))
+
+
+@pytest.mark.parametrize("count", [1, 2])
+def test_midpoint_sums_each_axis_like_axis_mean(count):
+    rng = random.Random(23 + count)
+    cases = [((-0.0, -0.0, -0.0),) * count, ((-0.0, 0.0, 1e-300),) * count]
+    cases += [tuple(random_point(rng) for _ in range(count)) for _ in range(300)]
+    for points in cases:
+        assert repr(midpoint(points)) == repr(tuple(axis_mean(points, a) for a in range(3)))
 
 
 def test_add_dimension_mismatch():

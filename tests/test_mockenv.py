@@ -8,6 +8,7 @@ import pytest
 from heurobot.core import TASK_KINDS, TASK_OBJECT, Observation, wrap_angle
 from heurobot import mockenv
 from heurobot.mockenv import (
+    ARM_MOUNTS,
     DETACH_OPEN_STEPS,
     NOISE_TRUNCATION,
     PLATFORM_TOP_HEIGHT,
@@ -15,6 +16,8 @@ from heurobot.mockenv import (
     MockEnv,
     READY_FINGER_FORWARD,
     READY_FINGER_RISE,
+    finger_local,
+    fingertips,
 )
 from heurobot.orchestrator import run_episode
 from heurobot.plans import builtin_plan
@@ -91,6 +94,21 @@ def test_ready_pose_fingertip_geometry():
     assert fz == pytest.approx(robot.platform_height + READY_FINGER_RISE, abs=1e-9)
     assert READY_FINGER_FORWARD == pytest.approx(0.35, abs=2e-4)
     assert READY_FINGER_RISE == pytest.approx(0.15, abs=2e-4)
+
+
+@pytest.mark.parametrize("n_arms", [1, 2])
+def test_fingertips_rotate_each_arms_local_point_into_the_world(n_arms):
+    rng = random.Random(31 + n_arms)
+    for _ in range(200):
+        platform = [rng.uniform(-2, 2), rng.uniform(-2, 2), rng.uniform(0.1, 1.2), rng.choice((-0.0, rng.uniform(-3, 3)))]
+        joints = [[rng.uniform(-3, 3) for _ in range(8)] for _ in range(n_arms)]
+        px, py, ph, yaw = platform
+        c, s = math.cos(yaw), math.sin(yaw)
+        expected = []
+        for q, mount in zip(joints, ARM_MOUNTS[n_arms]):
+            reach, lateral, rise = finger_local(q, mount)
+            expected.append((px + c * reach - s * lateral, py + s * reach + c * lateral, ph + rise))
+        assert repr(fingertips(platform, joints)) == repr(tuple(expected))
 
 
 # ------------------------------------------------------------ observations

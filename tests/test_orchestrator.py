@@ -315,7 +315,8 @@ def test_writer_receives_each_full_episode():
     assert sorted(written, key=lambda r: r.seed) == list(run_batch("open_cabinet_door", plan, None, [2, 1]).results)
 
 
-def test_parallel_writer_runs_once_per_seed_and_never_in_the_parent(tmp_path):
+def test_parallel_writer_runs_once_per_seed_and_never_in_the_parent(tmp_path, monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # two workers even on a one-CPU host
     seeds = [2, 7, 5, 1]
     run_batch("open_cabinet_door", idle_plan(), None, seeds, jobs=2, write=functools.partial(record_pid, tmp_path))
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(f"seed{s}" for s in seeds)
@@ -324,7 +325,9 @@ def test_parallel_writer_runs_once_per_seed_and_never_in_the_parent(tmp_path):
         assert len(pids) == 1 and int(pids[0]) != os.getpid()
 
 
-def test_batch_never_starts_more_workers_than_seeds(monkeypatch):
+@pytest.fixture
+def recording_pool(monkeypatch):
+    """Puts a stand-in for ProcessPoolExecutor in place; returns the worker count of each pool it built."""
     started = []
 
     class RecordingPool:
@@ -343,8 +346,21 @@ def test_batch_never_starts_more_workers_than_seeds(monkeypatch):
             return map(fn, items)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    return started
+
+
+def test_batch_never_starts_more_workers_than_seeds(recording_pool, monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
     run_batch("open_cabinet_door", idle_plan(), None, [1], jobs=64)
-    assert started == []
+    assert recording_pool == []
     batch = run_batch("open_cabinet_door", idle_plan(), None, [1, 2, 3], jobs=64)
-    assert started == [3]
+    assert recording_pool == [3]
     assert [r.seed for r in batch.results] == [1, 2, 3]
+
+
+@pytest.mark.parametrize("cpus, started", [(2, [2]), (1, []), (None, [])], ids=["two", "one", "unknown"])
+def test_batch_never_starts_more_workers_than_cpus(recording_pool, monkeypatch, cpus, started):
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    batch = run_batch("open_cabinet_door", idle_plan(), None, [1, 2, 3, 4, 5], jobs=100_000)
+    assert recording_pool == started
+    assert [r.seed for r in batch.results] == [1, 2, 3, 4, 5]
