@@ -109,7 +109,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         return 1
     rows = report_rows(summaries)
     if args.format == "machine":
-        payload = {"tasks": [row._asdict() for row in rows], "skipped": skipped}
+        payload = {"tasks": rows, "skipped": skipped}
         print(json.dumps(payload, sort_keys=True, indent=2))
     else:
         print(format_report_table(rows))

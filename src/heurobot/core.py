@@ -76,11 +76,15 @@ def is_finite_number(value: object) -> bool:
 
 
 def loads_json(text: str, source: object) -> object:
-    """``json.loads`` that reports nesting too deep for the parser as a ValueError, like any other bad JSON."""
+    """The package's one ``json.loads``: every decode failure is a ValueError that starts with ``source``."""
     try:
         return json.loads(text)
+    except json.JSONDecodeError as e:
+        raise ValueError(f"{source}: invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}") from None
     except RecursionError:
-        raise ValueError(f"{source}: JSON is nested too deeply") from None
+        raise ValueError(f"{source}: invalid JSON: nested too deeply to parse") from None
+    except ValueError as e:  # an integer literal longer than the interpreter's digit limit
+        raise ValueError(f"{source}: invalid JSON: {e}") from None
 
 
 def wrap_angle(angle: float) -> float:

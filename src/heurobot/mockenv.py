@@ -134,9 +134,6 @@ class EnvConfig(CheckedRecord, _EnvConfigFields):
             raise ValueError(f"unknown environment config keys: {sorted(unknown)}")
         return cls(**data)
 
-    def to_mapping(self) -> dict:
-        return self._asdict()
-
 
 def check_seed(seed: object) -> int:
     """``seed`` itself if it is an int; anything else, a bool included, raises ValueError."""
@@ -442,7 +439,6 @@ class MockEnv:
     def _update_attachments(self, act: Action, fingers: tuple[Point3, ...]) -> None:
         state = self.state
         grasp_radius = self.config.grasp_radius
-        released = False
         for arm, slot in enumerate(self.index_map.finger_slots):
             cmd = act[slot]
             if not state.grasping[arm]:
@@ -454,12 +450,11 @@ class MockEnv:
                     if state.open_counts[arm] >= DETACH_OPEN_STEPS:
                         state.grasping[arm] = False
                         state.open_counts[arm] = 0
-                        released = True
                 else:
                     state.open_counts[arm] = 0
-        if released:
+        if not all(state.grasping):
             state.carry = None
-        if self.object_kind in GOAL_POINT_OBJECTS and state.carry is None and all(state.grasping):
+        elif self.object_kind in GOAL_POINT_OBJECTS and state.carry is None:
             mid = midpoint(fingers)
             yaw = state.platform[3]
             c, s = math.cos(yaw), math.sin(yaw)

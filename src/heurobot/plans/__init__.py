@@ -27,6 +27,7 @@ from ..core import (
     ActionIndexMap,
     Observation,
     is_finite_number,
+    loads_json,
     wrap_angle,
 )
 from ..subtasks import JOINT_SELECTORS, SELECTORS, MoveSteps, MoveTo
@@ -248,15 +249,12 @@ def resolve(plan: Plan, init_obs: Observation) -> list[float | None]:
 
 
 def load_plan(text: str) -> Plan:
-    """Decode a plan document and parse it; errors carry position info."""
-    if not text.strip():
-        raise PlanError("empty plan document")
+    """Decode a plan document and parse it; text that is not JSON, empty text included,
+    raises ``PlanError("plan document: invalid JSON at line L, column C: ...")``."""
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise PlanError(f"invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}") from None
-    except (ValueError, RecursionError) as e:  # over-long integer literal, nesting too deep
-        raise PlanError(f"invalid JSON: {e}") from None
+        doc = loads_json(text, "plan document")
+    except ValueError as e:
+        raise PlanError(str(e)) from None
     return parse_plan(doc)
 
 

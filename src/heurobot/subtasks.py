@@ -125,7 +125,7 @@ class ArmStabilizer:
 
     def __init__(self, index_map: ActionIndexMap, reference: tuple[tuple[float, ...], ...]) -> None:
         robot = index_map.robot
-        if len(reference) != len(robot.arms) or any(len(r) == 0 for r in reference):
+        if len(reference) != len(robot.arms):
             raise ValueError("stabilizer reference must provide a pose for every arm")
         for arm, pose in enumerate(reference):
             if len(pose) != robot.joints_per_arm:

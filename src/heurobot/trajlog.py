@@ -9,7 +9,6 @@ determinism checks can diff them directly.
 from __future__ import annotations
 
 import json
-from typing import NamedTuple
 
 from .core import is_finite_number, loads_json
 from .mockenv import EnvConfig
@@ -29,7 +28,7 @@ def trajectory_lines(result: EpisodeResult, config: EnvConfig, plan_source: str)
         "task": result.task_kind,
         "seed": result.seed,
         "plan": plan_source,
-        "config": config.to_mapping(),
+        "config": config._asdict(),
         "success": result.success,
         "steps": result.steps,
         "error": result.error,
@@ -72,15 +71,24 @@ def _is_schema(doc: object, kind: str) -> bool:
 def read_trajectory(path) -> tuple[dict, list[dict]]:
     """Returns (header, records).
 
-    Raises ValueError on schema mismatch, unreadable JSON, a header ``task``
+    Raises ValueError on schema mismatch, unreadable JSON (a syntax error
+    names its line and column in the file), a header ``task``
     that is not a string or a ``seed``/``steps`` that is not an integer, a
     record that is not an object, or a record count other than ``steps``.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [line for line in fh.read().splitlines() if line]
-    if not lines:
+        lines = fh.read().splitlines()
+    docs = []
+    for number, line in enumerate(lines, 1):
+        if line:
+            try:
+                docs.append(loads_json(line, path))
+            except ValueError:  # decode it again below as many lines as precede it, to name its line in the file
+                loads_json("\n" * (number - 1) + line, path)
+                raise
+    if not docs:
         raise ValueError(f"{path}: empty trajectory file")
-    header, *records = [loads_json(line, path) for line in lines]
+    header, *records = docs
     if not _is_schema(header, "trajectory"):
         raise ValueError(f"{path}: not a schema v{SCHEMA_VERSION} trajectory file")
     if not isinstance(header.get("task"), str):
@@ -101,7 +109,7 @@ def write_summary(path, batch: BatchResult, config: EnvConfig, plan_source: str,
         "kind": "summary",
         "task": batch.task_kind,
         "plan": plan_source,
-        "config": config.to_mapping(),
+        "config": config._asdict(),
         "seeds": seeds,
         "episodes": [
             {"seed": r.seed, "success": r.success, "steps": r.steps, "error": r.error}
@@ -135,38 +143,28 @@ def read_summary(path) -> dict:
     return doc
 
 
-class ReportRow(NamedTuple):
-    task: str
-    episodes: int
-    successes: int
-    success_rate: float
-    mean_steps: float
+def report_rows(summaries: list[dict]) -> list[dict]:
+    """One row per summary: ``task``, ``episodes``, ``successes``, ``success_rate``, ``mean_steps``."""
+    return [
+        {
+            "task": doc["task"],
+            "episodes": len(doc["episodes"]),
+            "successes": sum(1 for e in doc["episodes"] if e["success"]),
+            "success_rate": doc["success_rate"],
+            "mean_steps": doc["mean_steps"],
+        }
+        for doc in summaries
+    ]
 
 
-def report_rows(summaries: list[dict]) -> list[ReportRow]:
-    rows = []
-    for doc in summaries:
-        episodes = doc["episodes"]
-        rows.append(
-            ReportRow(
-                task=doc["task"],
-                episodes=len(episodes),
-                successes=sum(1 for e in episodes if e["success"]),
-                success_rate=doc["success_rate"],
-                mean_steps=doc["mean_steps"],
-            )
-        )
-    return rows
-
-
-def format_report_table(rows: list[ReportRow]) -> str:
+def format_report_table(rows: list[dict]) -> str:
     lines = [
         f"{'task':<22}{'episodes':>10}{'successes':>11}{'success_rate':>14}{'mean_steps':>12}",
         "-" * 69,
     ]
     for row in rows:
         lines.append(
-            f"{row.task:<22}{row.episodes:>10}{row.successes:>11}"
-            f"{row.success_rate:>14.3f}{row.mean_steps:>12.1f}"
+            f"{row['task']:<22}{row['episodes']:>10}{row['successes']:>11}"
+            f"{row['success_rate']:>14.3f}{row['mean_steps']:>12.1f}"
         )
     return "\n".join(lines)

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -278,6 +279,23 @@ def test_read_trajectory_rejects_malformed_files_with_value_error(tmp_path, text
         read_trajectory(path)
 
 
+@pytest.mark.parametrize("blank_lines", [0, 2])
+def test_read_trajectory_names_the_file_line_of_a_record_cut_short(tmp_path, blank_lines):
+    records = ['{"step": 0}', *[""] * blank_lines, '{"step": 1}', '{"step": 2, "label": "ap']
+    path = tmp_path / "cut.jsonl"
+    path.write_text(trajectory_text({"steps": 3}, records=records))
+    line = 4 + blank_lines  # the header is line 1
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: invalid JSON at line {line}, column 22: "):
+        read_trajectory(path)
+
+
+def test_read_summary_names_the_file_of_a_syntax_error(tmp_path):
+    path = tmp_path / "summary.json"
+    path.write_text('{"kind": "summary",\n "task": }\n')
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: invalid JSON at line 2, column 10: "):
+        read_summary(path)
+
+
 def short_door_run(tmp_path):
     """The output directory of a two-episode, six-step door run."""
     config, out = tmp_path / "config.json", tmp_path / "runs"
@@ -337,6 +355,8 @@ def test_report_rejects_trajectory_files(tmp_path, capsys):
         (None, {"dt": "0.05"}, []),
         (None, None, ["--jobs", "0"]),
         (None, "[" * 100000, []),
+        (None, '{"dt": 0.1, nope}', []),
+        (None, '{"max_steps": 1' + "0" * 5000 + "}", []),
         (None, None, ["--out", "{taken}"]),
         (None, None, ["--seeds", "1,2,1"]),
         (None, None, ["--seeds", "0..100000000000000000000"]),
@@ -346,6 +366,7 @@ def test_report_rejects_trajectory_files(tmp_path, capsys):
     ],
     ids=[
         "string_steps", "door_goal_point_target", "string_dt", "zero_jobs", "config_nested_too_deep",
+        "config_syntax_error", "config_overlong_integer",
         "out_is_a_file", "repeated_seed", "unbounded_seed_range", "log_path_is_a_directory",
         "log_path_is_a_directory_jobs2", "summary_path_is_a_directory",
     ],
@@ -376,5 +397,7 @@ def test_run_rejects_bad_input_with_one_error_line(tmp_path, entry_edit, config,
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
     assert "Traceback" not in proc.stderr
+    if isinstance(config, str):  # a config that does not decode names its file
+        assert str(config_path) in proc.stderr
     assert not out.exists()
     assert taken.read_text() == "not a directory\n"

@@ -454,7 +454,7 @@ def test_chair_success_is_proximity_only():
 
 def test_env_config_mapping_round_trip():
     cfg = EnvConfig(dt=0.1, max_steps=77)
-    assert EnvConfig.from_mapping(cfg.to_mapping()) == cfg
+    assert EnvConfig.from_mapping(cfg._asdict()) == cfg
 
 
 @pytest.mark.parametrize("change", [{"dt": -1.0}, {"max_steps": 0}], ids=["dt", "max_steps"])
@@ -510,7 +510,7 @@ def test_env_config_must_be_an_object(data):
 
 def test_fuzzed_env_configs_parse_or_raise_value_error():
     rng = random.Random("config-fuzz")
-    default = EnvConfig().to_mapping()
+    default = EnvConfig()._asdict()
     rejected = 0
     for _ in range(300):
         data = mutate_json(rng, default)
