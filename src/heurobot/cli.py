@@ -19,10 +19,10 @@ import os
 import sys
 from pathlib import Path
 
-from .core import TASK_KINDS, loads_json
+from .core import TASK_KINDS, read_json
 from .mockenv import EnvConfig
 from .orchestrator import EpisodeResult, run_batch
-from .plans import builtin_plan, load_plan
+from .plans import PlanError, builtin_plan, parse_plan
 from .trajlog import format_report_table, read_summary, report_rows, write_summary, write_trajectory
 
 
@@ -33,28 +33,22 @@ def parse_seeds(text: str) -> list[int]:
     """Seed list syntax: a single integer, an inclusive range A..B of at most
     ``MAX_SEEDS`` seeds, or a comma list of distinct seeds."""
     text = text.strip()
-    if not text:
-        raise ValueError("empty seed list")
-    if "," in text:
-        seeds = [int(part) for part in text.split(",")]
-        if len(set(seeds)) != len(seeds):
-            raise ValueError(f"seed list {text!r} repeats a seed")
-        return seeds
-    if ".." in text:
-        lo_text, _, hi_text = text.partition("..")
-        lo, hi = int(lo_text), int(hi_text)
+    is_range = "," not in text and ".." in text
+    parts = text.split("..", 1) if is_range else text.split(",")
+    try:
+        seeds = [int(part) for part in parts]
+    except ValueError:
+        raise ValueError(f"seed list {text!r} is not N, A..B or a comma list of integers") from None
+    if is_range:
+        lo, hi = seeds
         if hi < lo:
             raise ValueError(f"seed range {text!r} is empty")
         if hi - lo >= MAX_SEEDS:
             raise ValueError(f"seed range {text!r} has more than {MAX_SEEDS} seeds")
         return list(range(lo, hi + 1))
-    return [int(text)]
-
-
-def _load_config(path: str | None) -> EnvConfig:
-    if path is None:
-        return EnvConfig()
-    return EnvConfig.from_mapping(loads_json(Path(path).read_text(encoding="utf-8"), path))
+    if len(set(seeds)) != len(seeds):
+        raise ValueError(f"seed list {text!r} repeats a seed")
+    return seeds
 
 
 def _write_log(out_dir: Path, config: EnvConfig, plan_source: str, result: EpisodeResult) -> None:
@@ -70,11 +64,14 @@ def cmd_run(args: argparse.Namespace) -> int:
         if args.plan == "builtin":
             plan, plan_source = builtin_plan(args.task), "builtin"
         else:
-            plan = load_plan(Path(args.plan).read_text(encoding="utf-8"))
             plan_source = str(args.plan)
+            try:
+                plan = parse_plan(read_json(plan_source))
+            except PlanError as e:
+                raise PlanError(f"{plan_source}: {e}") from None
         if plan.task_kind != args.task:
             raise ValueError(f"plan is for {plan.task_kind!r}, not {args.task!r}")
-        config = _load_config(args.config)
+        config = EnvConfig() if args.config is None else EnvConfig.from_mapping(read_json(args.config))
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         write = functools.partial(_write_log, out_dir, config, plan_source)

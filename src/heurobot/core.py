@@ -75,16 +75,23 @@ def is_finite_number(value: object) -> bool:
     return type(value) in (int, float) and abs(value) <= sys.float_info.max
 
 
-def loads_json(text: str, source: object) -> object:
-    """The package's one ``json.loads``: every decode failure is a ValueError that starts with ``source``."""
+def loads_json(data: str | bytes, source: object, line: int = 1) -> object:
+    """The package's one ``json.loads``: every decode failure is a ValueError that starts with ``source``.
+    Bytes must be strict UTF-8 (no BOM, no UTF-16/32); ``line`` is the file line ``data`` starts on."""
     try:
-        return json.loads(text)
+        return json.loads(data if isinstance(data, str) else data.decode("utf-8"))
     except json.JSONDecodeError as e:
-        raise ValueError(f"{source}: invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}") from None
+        raise ValueError(f"{source}: invalid JSON at line {e.lineno + line - 1}, column {e.colno}: {e.msg}") from None
     except RecursionError:
         raise ValueError(f"{source}: invalid JSON: nested too deeply to parse") from None
-    except ValueError as e:  # an integer literal longer than the interpreter's digit limit
+    except ValueError as e:  # not UTF-8, or an integer literal longer than the interpreter's digit limit
         raise ValueError(f"{source}: invalid JSON: {e}") from None
+
+
+def read_json(path) -> object:
+    """The JSON document in the file at ``path``; a file that does not decode raises ``loads_json``'s ValueError."""
+    with open(path, "rb") as fh:
+        return loads_json(fh.read(), path)
 
 
 def wrap_angle(angle: float) -> float:

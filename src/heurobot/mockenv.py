@@ -103,7 +103,8 @@ class EnvConfig(CheckedRecord, _EnvConfigFields):
     """Tunables of the mock environment; defaults are the reference setup.
 
     A field whose default is an int takes an integer, every other field a
-    finite number.
+    finite number, and so must be the products ``MockEnv.step`` forms: each
+    velocity scale times ``dt`` and ``NOISE_TRUNCATION * disturbance_std``.
     """
 
     __slots__ = ()
@@ -123,6 +124,13 @@ class EnvConfig(CheckedRecord, _EnvConfigFields):
                 raise ValueError(f"{name} must be positive")
         if self.max_steps < 1:
             raise ValueError("max_steps must be >= 1")
+        for name, product in (
+            ("linear_velocity_scale * dt", self.linear_velocity_scale * self.dt),
+            ("angular_velocity_scale * dt", self.angular_velocity_scale * self.dt),
+            (f"{NOISE_TRUNCATION} * disturbance_std", NOISE_TRUNCATION * self.disturbance_std),
+        ):
+            if not is_finite_number(product):
+                raise ValueError(f"{name} overflows a float; lower one of its factors")
         return self
 
     @classmethod

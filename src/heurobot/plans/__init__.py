@@ -28,6 +28,7 @@ from ..core import (
     Observation,
     is_finite_number,
     loads_json,
+    read_json,
     wrap_angle,
 )
 from ..subtasks import JOINT_SELECTORS, SELECTORS, MoveSteps, MoveTo
@@ -271,18 +272,13 @@ def serialize_plan(plan: Plan) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-# Read with ``open``: importing ``importlib.resources`` takes 15-28 ms of CPU
-# on CPython 3.10-3.13, and from 3.12 on it imports ``inspect``.
+# Read with ``read_json``: importing ``importlib.resources`` takes 15-28 ms of
+# CPU on CPython 3.10-3.13, and from 3.12 on it imports ``inspect``.
 PLAN_DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
-
-_builtin_cache: dict[str, Plan] = {}
 
 
 def builtin_plan(task_kind: str) -> Plan:
-    """Bundled solution script for one of the four task kinds."""
+    """Bundled solution script for one of the four task kinds, read and parsed on every call."""
     if task_kind not in TASK_KINDS:
         raise PlanError(f"unknown task kind {task_kind!r}")
-    if task_kind not in _builtin_cache:
-        with open(os.path.join(PLAN_DATA_DIR, f"{task_kind}.json"), encoding="utf-8") as fh:
-            _builtin_cache[task_kind] = load_plan(fh.read())
-    return _builtin_cache[task_kind]
+    return parse_plan(read_json(os.path.join(PLAN_DATA_DIR, f"{task_kind}.json")))

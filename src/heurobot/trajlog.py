@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 
-from .core import is_finite_number, loads_json
+from .core import is_finite_number, loads_json, read_json
 from .mockenv import EnvConfig
 from .orchestrator import BatchResult, EpisodeResult
 
@@ -69,23 +69,16 @@ def _is_schema(doc: object, kind: str) -> bool:
 
 
 def read_trajectory(path) -> tuple[dict, list[dict]]:
-    """Returns (header, records).
+    """Returns (header, records); records are framed on ``\\n`` alone, blank lines skipped.
 
-    Raises ValueError on schema mismatch, unreadable JSON (a syntax error
-    names its line and column in the file), a header ``task``
+    Raises ValueError on schema mismatch, a record that is not UTF-8 JSON (a
+    syntax error names its line and column in the file), a header ``task``
     that is not a string or a ``seed``/``steps`` that is not an integer, a
     record that is not an object, or a record count other than ``steps``.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    docs = []
-    for number, line in enumerate(lines, 1):
-        if line:
-            try:
-                docs.append(loads_json(line, path))
-            except ValueError:  # decode it again below as many lines as precede it, to name its line in the file
-                loads_json("\n" * (number - 1) + line, path)
-                raise
+    with open(path, "rb") as fh:
+        lines = fh.read().split(b"\n")
+    docs = [loads_json(text, path, number) for number, line in enumerate(lines, 1) if (text := line.rstrip(b"\r"))]
     if not docs:
         raise ValueError(f"{path}: empty trajectory file")
     header, *records = docs
@@ -124,8 +117,7 @@ def write_summary(path, batch: BatchResult, config: EnvConfig, plan_source: str,
 
 def read_summary(path) -> dict:
     """Returns the summary document; raises ValueError on schema or type mismatch."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = loads_json(fh.read(), path)
+    doc = read_json(path)
     if not _is_schema(doc, "summary"):
         raise ValueError(f"{path}: not a schema v{SCHEMA_VERSION} summary file")
     for key in ("task", "success_rate", "mean_steps", "episodes"):

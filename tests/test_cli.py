@@ -26,7 +26,7 @@ def run_dir_files(path):
 def test_importing_the_cli_loads_no_process_pool():
     env = dict(os.environ, PYTHONPATH=str(Path(heurobot.__file__).parents[1]))
     code = "import sys, heurobot.cli; print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, encoding="utf-8", env=env, check=True)
     assert proc.stdout == "[]\n"
 
 
@@ -37,7 +37,7 @@ def test_importing_the_cli_loads_no_introspection_modules():
         "import sys; before = set(sys.modules); import heurobot.cli; "
         "print(sorted({'dataclasses', 'inspect', 'ast', 'dis'} & (set(sys.modules) - before)))"
     )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, encoding="utf-8", env=env, check=True)
     assert proc.stdout == "[]\n"
 
 
@@ -49,8 +49,9 @@ def test_parse_seeds():
         parse_seeds("")
     with pytest.raises(ValueError):
         parse_seeds("9..2")
-    with pytest.raises(ValueError):
-        parse_seeds("abc")
+    for text in ("abc", "1..x", "1,,2", "1.5"):
+        with pytest.raises(ValueError, match=rf"^seed list {re.escape(repr(text))} is not N, A\.\.B or a comma list"):
+            parse_seeds(text)
     with pytest.raises(ValueError, match="repeats"):
         parse_seeds("1,2,1")
     assert len(parse_seeds(f"1..{MAX_SEEDS}")) == MAX_SEEDS
@@ -90,14 +91,14 @@ def test_run_missing_plan_file_exits_nonzero_without_partial_output(tmp_path, ca
 
 def test_run_rejects_plan_for_wrong_task(tmp_path, capsys):
     plan_path = tmp_path / "bucket.json"
-    plan_path.write_text(serialize_plan(builtin_plan("move_bucket")))
+    plan_path.write_text(serialize_plan(builtin_plan("move_bucket")), encoding="utf-8")
     rc = main(["run", "--task", "push_chair", "--plan", str(plan_path), "--seeds", "1", "--out", str(tmp_path / "o")])
     assert rc != 0
 
 
 def test_run_accepts_plan_file(tmp_path):
     plan_path = tmp_path / "chair.json"
-    plan_path.write_text(serialize_plan(builtin_plan("push_chair")))
+    plan_path.write_text(serialize_plan(builtin_plan("push_chair")), encoding="utf-8")
     out = tmp_path / "o"
     rc = main(["run", "--task", "push_chair", "--plan", str(plan_path), "--seeds", "3", "--out", str(out), "--quiet"])
     assert rc == 0
@@ -140,7 +141,7 @@ def test_out_dir_env_var_is_the_default(tmp_path, monkeypatch):
 
 def test_env_config_override(tmp_path):
     config_path = tmp_path / "config.json"
-    config_path.write_text(json.dumps({"max_steps": 40}))
+    config_path.write_text(json.dumps({"max_steps": 40}), encoding="utf-8")
     out = tmp_path / "o"
     rc = main([
         "run", "--task", "open_cabinet_door", "--seeds", "1", "--config", str(config_path),
@@ -154,7 +155,7 @@ def test_env_config_override(tmp_path):
 
 def test_bad_env_config_key_fails_fast(tmp_path, capsys):
     config_path = tmp_path / "config.json"
-    config_path.write_text(json.dumps({"friction": 0.5}))
+    config_path.write_text(json.dumps({"friction": 0.5}), encoding="utf-8")
     rc = main(["run", "--task", "open_cabinet_door", "--seeds", "1", "--config", str(config_path),
                "--out", str(tmp_path / "o")])
     assert rc != 0
@@ -201,7 +202,7 @@ def test_report_skips_malformed_files_with_warnings(tmp_path, capsys):
     assert main(["run", "--task", "open_cabinet_door", "--seeds", "1..2", "--out", str(out), "--quiet"]) == 0
     capsys.readouterr()
     summary = out / "open_cabinet_door_summary.json"
-    doc = json.loads(summary.read_text())
+    doc = json.loads(summary.read_text(encoding="utf-8"))
     junk_texts = {
         "not_json": "{not json",
         "nested_too_deep": "[" * 100000,
@@ -217,7 +218,7 @@ def test_report_skips_malformed_files_with_warnings(tmp_path, capsys):
     junk = []
     for name, text in junk_texts.items():
         path = tmp_path / f"{name}.json"
-        path.write_text(text)
+        path.write_text(text, encoding="utf-8")
         junk.append(str(path))
 
     rc = main(["report", str(summary), *junk])
@@ -243,7 +244,7 @@ def trajectory_text(header_edit=None, drop=None, records=("{}",)):
 
 def test_read_trajectory_accepts_the_well_formed_file_the_cases_below_break(tmp_path):
     path = tmp_path / "good.jsonl"
-    path.write_text(trajectory_text())
+    path.write_text(trajectory_text(), encoding="utf-8")
     assert read_trajectory(path) == (GOOD_HEADER, [{}])
 
 
@@ -265,17 +266,20 @@ def test_read_trajectory_accepts_the_well_formed_file_the_cases_below_break(tmp_
         trajectory_text({"steps": 1.0}),
         trajectory_text({"steps": 2}),
         trajectory_text(records=[]),
+        b"\xff{}\n",
+        trajectory_text({"steps": 2}, records=["{}\r{}"]),
     ],
     ids=[
         "schema_version_true", "schema_version_float", "header_not_object", "nested_too_deep",
         "record_is_a_list", "record_is_a_string", "no_task", "no_seed", "no_steps", "task_not_string",
         "seed_is_a_bool", "seed_is_a_string", "steps_is_a_float", "truncated", "no_records",
+        "not_utf8", "lone_cr_is_not_a_line_break",
     ],
 )
 def test_read_trajectory_rejects_malformed_files_with_value_error(tmp_path, text):
     path = tmp_path / "bad.jsonl"
-    path.write_text(text)
-    with pytest.raises(ValueError):
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: "):
         read_trajectory(path)
 
 
@@ -283,7 +287,7 @@ def test_read_trajectory_rejects_malformed_files_with_value_error(tmp_path, text
 def test_read_trajectory_names_the_file_line_of_a_record_cut_short(tmp_path, blank_lines):
     records = ['{"step": 0}', *[""] * blank_lines, '{"step": 1}', '{"step": 2, "label": "ap']
     path = tmp_path / "cut.jsonl"
-    path.write_text(trajectory_text({"steps": 3}, records=records))
+    path.write_text(trajectory_text({"steps": 3}, records=records), encoding="utf-8")
     line = 4 + blank_lines  # the header is line 1
     with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: invalid JSON at line {line}, column 22: "):
         read_trajectory(path)
@@ -291,23 +295,47 @@ def test_read_trajectory_names_the_file_line_of_a_record_cut_short(tmp_path, bla
 
 def test_read_summary_names_the_file_of_a_syntax_error(tmp_path):
     path = tmp_path / "summary.json"
-    path.write_text('{"kind": "summary",\n "task": }\n')
+    path.write_text('{"kind": "summary",\n "task": }\n', encoding="utf-8")
     with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: invalid JSON at line 2, column 10: "):
+        read_summary(path)
+
+
+def test_read_summary_names_a_file_that_is_not_utf8(tmp_path):
+    path = tmp_path / "summary.json"
+    path.write_bytes(b"\xff{}")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: invalid JSON: 'utf-8' codec can't decode"):
         read_summary(path)
 
 
 def short_door_run(tmp_path):
     """The output directory of a two-episode, six-step door run."""
     config, out = tmp_path / "config.json", tmp_path / "runs"
-    config.write_text('{"max_steps": 6}')
+    config.write_text('{"max_steps": 6}', encoding="utf-8")
     assert main(["run", "--task", "open_cabinet_door", "--seeds", "1..2", "--config", str(config), "--out", str(out),
                  "--quiet"]) == 0
     return out
 
 
+def test_read_trajectory_frames_records_on_newline_alone(tmp_path):
+    # U+2028, U+2029 and U+0085 may stand raw inside a JSON string; only "\n" ends a record
+    log = short_door_run(tmp_path) / "open_cabinet_door_seed00001.jsonl"
+    header, records = read_trajectory(log)
+    header["plan"] = "a\u2028b\u2029c\x85d"
+    text = "".join(json.dumps(doc, ensure_ascii=False) + "\n" for doc in [header, *records])
+    log.write_text(text, encoding="utf-8")
+    assert read_trajectory(log) == (header, records)
+
+
+def test_read_trajectory_reads_a_crlf_copy_with_blank_lines(tmp_path):
+    log = short_door_run(tmp_path) / "open_cabinet_door_seed00001.jsonl"
+    crlf = tmp_path / "crlf.jsonl"
+    crlf.write_bytes(log.read_bytes().replace(b"\n", b"\r\n\r\n"))
+    assert read_trajectory(crlf) == read_trajectory(log)
+
+
 def test_fuzzed_trajectory_logs_read_or_raise_value_error(tmp_path):
     log = short_door_run(tmp_path) / "open_cabinet_door_seed00001.jsonl"
-    data, lines = log.read_bytes(), [json.loads(line) for line in log.read_text().splitlines()]
+    data, lines = log.read_bytes(), [json.loads(line) for line in log.read_text(encoding="utf-8").splitlines()]
     rng = random.Random("trajectory-fuzz")
     rejected = 0
     for i in range(200):
@@ -315,7 +343,7 @@ def test_fuzzed_trajectory_logs_read_or_raise_value_error(tmp_path):
             log.write_bytes(mutate_bytes(rng, data))
         else:
             doc = mutate_json(rng, lines)
-            log.write_text("".join(json.dumps(line) + "\n" for line in (doc if isinstance(doc, list) else [doc])))
+            log.write_text("".join(json.dumps(line) + "\n" for line in (doc if isinstance(doc, list) else [doc])), encoding="utf-8")
         try:
             read_trajectory(log)
         except ValueError:
@@ -325,7 +353,7 @@ def test_fuzzed_trajectory_logs_read_or_raise_value_error(tmp_path):
 
 def test_fuzzed_summaries_report_or_raise_value_error(tmp_path):
     summary = short_door_run(tmp_path) / "open_cabinet_door_summary.json"
-    data, doc = summary.read_bytes(), json.loads(summary.read_text())
+    data, doc = summary.read_bytes(), json.loads(summary.read_text(encoding="utf-8"))
     rng = random.Random("summary-fuzz")
     rejected = 0
     for i in range(200):
@@ -363,41 +391,54 @@ def test_report_rejects_trajectory_files(tmp_path, capsys):
         (None, None, ["--out", "{log_is_a_dir}"]),
         (None, None, ["--out", "{log_is_a_dir}", "--seeds", "0..3", "--jobs", "2"]),
         (None, None, ["--out", "{summary_is_a_dir}"]),
+        (b"\xff{}", None, []),
+        (None, b"\xff{}", []),
+        (None, {"linear_velocity_scale": 1e308, "dt": 10}, []),
+        (None, {"angular_velocity_scale": 1e308, "dt": 10}, []),
+        (None, {"disturbance_std": 1e308}, []),
+        (None, None, ["--seeds", "1..x"]),
     ],
     ids=[
         "string_steps", "door_goal_point_target", "string_dt", "zero_jobs", "config_nested_too_deep",
         "config_syntax_error", "config_overlong_integer",
         "out_is_a_file", "repeated_seed", "unbounded_seed_range", "log_path_is_a_directory",
         "log_path_is_a_directory_jobs2", "summary_path_is_a_directory",
+        "plan_not_utf8", "config_not_utf8", "linear_step_overflows", "angular_step_overflows",
+        "noise_bound_overflows", "seed_not_an_integer",
     ],
 )
 def test_run_rejects_bad_input_with_one_error_line(tmp_path, entry_edit, config, extra):
     out = tmp_path / "o"
     taken = tmp_path / "taken"
-    taken.write_text("not a directory\n")
+    taken.write_text("not a directory\n", encoding="utf-8")
     # output directories in which a path the run writes already exists as a directory
     log_is_a_dir, summary_is_a_dir = tmp_path / "log_is_a_dir", tmp_path / "summary_is_a_dir"
     (log_is_a_dir / "open_cabinet_door_seed00001.jsonl").mkdir(parents=True)
     (summary_is_a_dir / "open_cabinet_door_summary.json").mkdir(parents=True)
     extra = [arg.format(taken=taken, log_is_a_dir=log_is_a_dir, summary_is_a_dir=summary_is_a_dir) for arg in extra]
     argv = ["run", "--task", "open_cabinet_door", "--seeds", "1", "--out", str(out), "--quiet", *extra]
-    if entry_edit is not None:
+    plan_path, config_path = tmp_path / "plan.json", tmp_path / "config.json"
+    if isinstance(entry_edit, bytes):  # the plan file's raw bytes
+        plan_path.write_bytes(entry_edit)
+        argv += ["--plan", str(plan_path)]
+    elif entry_edit is not None:
         doc = json.loads(serialize_plan(builtin_plan("open_cabinet_door")))
         index, key, value = entry_edit
         doc["entries"][index][key] = value
-        plan_path = tmp_path / "plan.json"
-        plan_path.write_text(json.dumps(doc))
+        plan_path.write_text(json.dumps(doc), encoding="utf-8")
         argv += ["--plan", str(plan_path)]
     if config is not None:
-        config_path = tmp_path / "config.json"
-        config_path.write_text(config if isinstance(config, str) else json.dumps(config))
+        text = json.dumps(config) if isinstance(config, dict) else config
+        config_path.write_bytes(text if isinstance(text, bytes) else text.encode())
         argv += ["--config", str(config_path)]
     env = dict(os.environ, PYTHONPATH=str(Path(heurobot.__file__).parents[1]))
-    proc = subprocess.run([sys.executable, "-m", "heurobot.cli", *argv], capture_output=True, text=True, env=env)
+    proc = subprocess.run([sys.executable, "-m", "heurobot.cli", *argv], capture_output=True, encoding="utf-8", env=env)
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
     assert "Traceback" not in proc.stderr
-    if isinstance(config, str):  # a config that does not decode names its file
-        assert str(config_path) in proc.stderr
+    if entry_edit is not None:  # a plan file that does not decode or parse names its file first
+        assert proc.stderr.startswith(f"error: {plan_path}: ")
+    if isinstance(config, (str, bytes)):  # a config that does not decode names its file first
+        assert proc.stderr.startswith(f"error: {config_path}: ")
     assert not out.exists()
-    assert taken.read_text() == "not a directory\n"
+    assert taken.read_text(encoding="utf-8") == "not a directory\n"

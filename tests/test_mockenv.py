@@ -495,6 +495,11 @@ def test_env_config_pickle_and_copy_rebuild_through_the_check():
         {"max_steps": 1.5},
         {"max_steps": True},
         {"rng_seed": "0"},
+        # each field finite, but a per-step product MockEnv.step forms from them is not
+        {"linear_velocity_scale": 1e308, "dt": 10},
+        {"angular_velocity_scale": 1e308, "dt": 10},
+        {"linear_velocity_scale": 10**308, "dt": 10},
+        {"disturbance_std": 1e308},
     ],
 )
 def test_env_config_rejects_wrong_typed_and_non_finite_fields(data):

@@ -321,7 +321,7 @@ def test_parallel_writer_runs_once_per_seed_and_never_in_the_parent(tmp_path, mo
     run_batch("open_cabinet_door", idle_plan(), None, seeds, jobs=2, write=functools.partial(record_pid, tmp_path))
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(f"seed{s}" for s in seeds)
     for seed in seeds:
-        pids = (tmp_path / f"seed{seed}").read_text().split()
+        pids = (tmp_path / f"seed{seed}").read_text(encoding="utf-8").split()
         assert len(pids) == 1 and int(pids[0]) != os.getpid()
 
 
