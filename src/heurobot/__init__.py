@@ -10,12 +10,11 @@ from .core import (
     TASK_KINDS,
     add,
     clamp,
-    new_action,
 )
 from .mockenv import EnvConfig, MockEnv
 from .orchestrator import BatchResult, EpisodeResult, replay_actions, run_batch, run_episode
-from .plans import Plan, PlanError, builtin_plan, load_plan, resolve, serialize_plan
-from .subtasks import ArmStabilizer, MoveSteps, MoveTo, SubTaskError
+from .plans import Plan, PlanError, builtin_plan, load_plan, resolve
+from .subtasks import ArmStabilizer, MoveSteps, MoveTo
 
 __version__ = "0.1.0"
 
@@ -34,17 +33,14 @@ __all__ = [
     "PlanError",
     "RobotConfig",
     "RobotState",
-    "SubTaskError",
     "TASK_KINDS",
     "add",
     "builtin_plan",
     "clamp",
     "load_plan",
-    "new_action",
     "replay_actions",
     "resolve",
     "run_batch",
     "run_episode",
-    "serialize_plan",
     "__version__",
 ]

@@ -42,13 +42,6 @@ Point3 = tuple[float, float, float]
 Point2 = tuple[float, float]
 
 
-def new_action(dim: int) -> Action:
-    """All-zero action of the given dimension."""
-    if dim <= 0:
-        raise ValueError(f"action dimension must be positive, got {dim}")
-    return (0.0,) * dim
-
-
 def clamp(action: Action) -> Action:
     """Saturate every component into [-1, +1]. Idempotent."""
     return tuple([-1.0 if v < -1.0 else (1.0 if v > 1.0 else v) for v in action])
@@ -82,9 +75,12 @@ def loads_json(data: str | bytes, source: object, line: int = 1) -> object:
         return json.loads(data if isinstance(data, str) else data.decode("utf-8"))
     except json.JSONDecodeError as e:
         raise ValueError(f"{source}: invalid JSON at line {e.lineno + line - 1}, column {e.colno}: {e.msg}") from None
+    except UnicodeDecodeError as e:  # named by the line of its first bad byte
+        line += data.count(b"\n", 0, e.start)
+        raise ValueError(f"{source}: invalid JSON at line {line}: {e}") from None
     except RecursionError:
         raise ValueError(f"{source}: invalid JSON: nested too deeply to parse") from None
-    except ValueError as e:  # not UTF-8, or an integer literal longer than the interpreter's digit limit
+    except ValueError as e:  # an integer literal longer than the interpreter's digit limit
         raise ValueError(f"{source}: invalid JSON: {e}") from None
 
 

@@ -28,7 +28,7 @@ from collections.abc import Callable
 from functools import partial
 from typing import NamedTuple
 
-from .core import Action, Observation, add, clamp, new_action
+from .core import Action, Observation, add, clamp
 from .mockenv import EnvConfig, MockEnv, check_seed
 from .plans import Plan, StabilizerOn, resolve
 from .subtasks import ArmStabilizer
@@ -53,11 +53,6 @@ class EpisodeResult(NamedTuple):
     trajectory: tuple[StepRecord, ...]
     error: str | None = None
 
-    @property
-    def subtask_trace(self) -> tuple[int, ...]:
-        """Index of the plan entry that produced each step's action."""
-        return tuple(rec.subtask_index for rec in self.trajectory)
-
 
 class BatchResult(NamedTuple):
     task_kind: str
@@ -71,7 +66,7 @@ def run_episode(task_kind: str, plan: Plan, env_config: EnvConfig | None = None,
         raise ValueError(f"plan is for {plan.task_kind!r}, episode requested {task_kind!r}")
     env = MockEnv(task_kind, env_config)
     obs = env.reset(seed)
-    zeros = new_action(env.index_map.dim)
+    zeros = (0.0,) * env.index_map.dim
     stabilizer: ArmStabilizer | None = None
     records: list[StepRecord] = []
     done = False

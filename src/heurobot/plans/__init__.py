@@ -14,7 +14,6 @@ themselves; ``resolve`` only evaluates their targets for one episode.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from typing import Callable, NamedTuple
@@ -198,7 +197,7 @@ def parse_plan(doc: object) -> Plan:
                     raise PlanError(f"{where}: unknown action slot {name!r}")
                 if not is_finite_number(value):
                     raise PlanError(f"{where}: action value for {name!r} must be a finite number, got {value!r}")
-            entries.append(MoveSteps(label, tuple(action.items()), steps, index_map.build(action)))
+            entries.append(MoveSteps(label, steps, index_map.build(action)))
         else:
             slot, selector, target = obj.get("slot"), obj.get("selector"), obj.get("target")
             if slot not in index_map.slots:
@@ -257,19 +256,6 @@ def load_plan(text: str) -> Plan:
     except ValueError as e:
         raise PlanError(str(e)) from None
     return parse_plan(doc)
-
-
-def serialize_plan(plan: Plan) -> str:
-    entries = [
-        {
-            "kind": e.kind,
-            "label": e.label,
-            **{key: dict(e.action) if key == "action" else getattr(e, key) for key in ENTRY_FIELDS[e.kind]},
-        }
-        for e in plan.entries
-    ]
-    doc = {"schema_version": PLAN_SCHEMA_VERSION, "task_kind": plan.task_kind, "entries": entries}
-    return json.dumps(doc, indent=2) + "\n"
 
 
 # Read with ``read_json``: importing ``importlib.resources`` takes 15-28 ms of

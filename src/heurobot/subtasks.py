@@ -16,14 +16,9 @@ even an already-converged controller produces exactly one action.
 
 from __future__ import annotations
 
-import math
 from typing import Callable, NamedTuple
 
 from .core import DUAL_ARM, Action, ActionIndexMap, Observation, axis_mean, one_hot
-
-
-class SubTaskError(RuntimeError):
-    """Raised when a sub-task cannot read its input from an observation."""
 
 
 Selector = Callable[[Observation], float]
@@ -66,9 +61,8 @@ class MoveSteps(NamedTuple):
 
     kind = "move_steps"  # a class attribute, not a field
     label: str
-    action: tuple[tuple[str, float], ...]  # as written: (slot, value) pairs in document order
     steps: int
-    vector: Action  # ``action`` as an action vector
+    vector: Action  # the document's ``action`` object, unnamed slots zero
 
     def step(self, obs: Observation, target: None, taken: int) -> tuple[Action, bool]:
         """The action for step ``taken + 1`` of this entry, and whether it is the last."""
@@ -96,10 +90,7 @@ class MoveTo(NamedTuple):
 
     def step(self, obs: Observation, target: float, taken: int) -> tuple[Action, bool]:
         """One action toward ``target``, and whether the scalar was already inside the band."""
-        x = SELECTORS[self.selector](obs)
-        if not math.isfinite(x):
-            raise SubTaskError(f"{self.label}: selector returned non-finite value {x!r}")
-        d = target - x
+        d = target - SELECTORS[self.selector](obs)
         return one_hot(self.dim, self.index, self.velocity if d > 0 else -self.velocity), abs(d) < self.threshold
 
 
@@ -150,17 +141,9 @@ class ArmStabilizer:
         g = self.gain
         settled = self._settled
         joints = obs.robot.arm_joints
-        isfinite = math.isfinite
         out = [0.0] * self.index_map.dim
         for k, (arm, joint, slot, target) in enumerate(self._joints):
-            try:
-                x = joints[arm][joint]
-            except IndexError:
-                raise SubTaskError(f"arm joint ({arm}, {joint}) not present in observation") from None
-            if not isfinite(x):
-                name = self.index_map.robot.arms[arm]
-                raise SubTaskError(f"stabilize_{name}_joint_{joint}: selector returned non-finite value {x!r}")
-            d = target - x
+            d = target - joints[arm][joint]
             inside = abs(d) < STABILIZER_THRESHOLD
             if settled[k] and inside:
                 continue  # settled and still inside the band

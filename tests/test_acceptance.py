@@ -50,7 +50,7 @@ def test_criterion_1_move_steps_fidelity():
         dim = rng.randint(1, 22)
         action = tuple(rng.uniform(-1, 1) for _ in range(dim))
         n = rng.randint(1, 50)
-        st = MoveSteps("move_steps", (), n, action)
+        st = MoveSteps("move_steps", n, action)
         obs = make_obs()
         for k in range(n):
             out, done = st.step(obs, None, k)
@@ -260,7 +260,7 @@ def test_criterion_7_orchestrator_invariants(endtoend):
             (i for i, e in enumerate(plan.entries) if e.kind == "stabilizer_on"), None
         )
         for result in runs[task]:
-            trace = result.subtask_trace
+            trace = tuple(rec.subtask_index for rec in result.trajectory)
             if any(a > b for a, b in zip(trace, trace[1:])):
                 violations += 1  # trace must be monotone non-decreasing
             if len(trace) != result.steps:

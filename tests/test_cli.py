@@ -12,8 +12,9 @@ import pytest
 import heurobot
 
 from heurobot.cli import MAX_SEEDS, main, parse_seeds
-from heurobot.core import TASK_KINDS
-from heurobot.plans import builtin_plan, serialize_plan
+from heurobot.core import TASK_KINDS, TASK_ROBOT, ActionIndexMap
+from heurobot.mockenv import FIELD_MAX, EnvConfig
+from heurobot.plans import PLAN_DATA_DIR
 from heurobot.trajlog import format_report_table, read_summary, read_trajectory, report_rows
 
 from helpers import mutate_bytes, mutate_json
@@ -90,15 +91,13 @@ def test_run_missing_plan_file_exits_nonzero_without_partial_output(tmp_path, ca
 
 
 def test_run_rejects_plan_for_wrong_task(tmp_path, capsys):
-    plan_path = tmp_path / "bucket.json"
-    plan_path.write_text(serialize_plan(builtin_plan("move_bucket")), encoding="utf-8")
+    plan_path = Path(PLAN_DATA_DIR) / "move_bucket.json"
     rc = main(["run", "--task", "push_chair", "--plan", str(plan_path), "--seeds", "1", "--out", str(tmp_path / "o")])
     assert rc != 0
 
 
 def test_run_accepts_plan_file(tmp_path):
-    plan_path = tmp_path / "chair.json"
-    plan_path.write_text(serialize_plan(builtin_plan("push_chair")), encoding="utf-8")
+    plan_path = Path(PLAN_DATA_DIR) / "push_chair.json"
     out = tmp_path / "o"
     rc = main(["run", "--task", "push_chair", "--plan", str(plan_path), "--seeds", "3", "--out", str(out), "--quiet"])
     assert rc == 0
@@ -151,6 +150,38 @@ def test_env_config_override(tmp_path):
     header, _ = read_trajectory(out / "open_cabinet_door_seed00001.jsonl")
     assert header["config"]["max_steps"] == 40
     assert header["steps"] <= 40
+
+
+# the envelope's worst corner: every float field at its bound, success tolerances too tight to end an episode
+WORST_CORNER = {
+    **{name: FIELD_MAX for name, value in EnvConfig._field_defaults.items() if type(value) is float},
+    "bucket_xy_tolerance": 1e-9, "bucket_height_tolerance": 1e-9, "chair_xy_tolerance": 1e-9, "max_steps": 500,
+}
+
+
+@pytest.mark.parametrize("task", TASK_KINDS)
+@pytest.mark.parametrize("plan", ["builtin", "full_throttle"])
+def test_worst_corner_config_logs_only_finite_numbers(tmp_path, task, plan):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(WORST_CORNER), encoding="utf-8")
+    argv = ["run", "--task", task, "--seeds", "0..1", "--config", str(config_path), "--out", str(tmp_path / "o"),
+            "--quiet"]
+    if plan == "full_throttle":  # grasp at step 0, then every slot at +1 with the stabilizer on: carry and noise
+        index_map = ActionIndexMap.for_robot(TASK_ROBOT[task])
+        close = {index_map.slots[i]: 1.0 for i in index_map.finger_slots}
+        doc = {"task_kind": task, "entries": [
+            {"kind": "stabilizer_on"},
+            {"kind": "move_steps", "action": close, "steps": 1},
+            {"kind": "move_steps", "action": dict.fromkeys(index_map.slots, 1.0), "steps": 499},
+        ]}
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text(json.dumps(doc), encoding="utf-8")
+        argv += ["--plan", str(plan_path)]
+    assert main(argv) == 0
+    summary = read_summary(tmp_path / "o" / f"{task}_summary.json")
+    assert [(e["steps"], e["error"]) for e in summary["episodes"]] == [(500, None)] * 2
+    for log in (tmp_path / "o").iterdir():
+        assert not re.search(rb"NaN|Infinity", log.read_bytes()), log.name
 
 
 def test_bad_env_config_key_fails_fast(tmp_path, capsys):
@@ -284,12 +315,17 @@ def test_read_trajectory_rejects_malformed_files_with_value_error(tmp_path, text
 
 
 @pytest.mark.parametrize("blank_lines", [0, 2])
-def test_read_trajectory_names_the_file_line_of_a_record_cut_short(tmp_path, blank_lines):
-    records = ['{"step": 0}', *[""] * blank_lines, '{"step": 1}', '{"step": 2, "label": "ap']
-    path = tmp_path / "cut.jsonl"
-    path.write_text(trajectory_text({"steps": 3}, records=records), encoding="utf-8")
+@pytest.mark.parametrize(
+    "last_record, error",
+    [(b'{"step": 2, "label": "ap', ", column 22: "), (b'{"step": 2, "label": "\xff"}', ": 'utf-8' codec can't decode")],
+    ids=["cut_short", "not_utf8"],
+)
+def test_read_trajectory_names_the_file_line_of_a_bad_record(tmp_path, blank_lines, last_record, error):
+    records = ['{"step": 0}', *[""] * blank_lines, '{"step": 1}']
+    path = tmp_path / "bad.jsonl"
+    path.write_bytes(trajectory_text({"steps": 3}, records=records).encode() + last_record + b"\n")
     line = 4 + blank_lines  # the header is line 1
-    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: invalid JSON at line {line}, column 22: "):
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: invalid JSON at line {line}{re.escape(error)}"):
         read_trajectory(path)
 
 
@@ -302,8 +338,8 @@ def test_read_summary_names_the_file_of_a_syntax_error(tmp_path):
 
 def test_read_summary_names_a_file_that_is_not_utf8(tmp_path):
     path = tmp_path / "summary.json"
-    path.write_bytes(b"\xff{}")
-    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: invalid JSON: 'utf-8' codec can't decode"):
+    path.write_bytes(b'{"kind": "summary",\n "task": "\xff"}\n')
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: invalid JSON at line 2: 'utf-8' codec can't decode"):
         read_summary(path)
 
 
@@ -397,6 +433,10 @@ def test_report_rejects_trajectory_files(tmp_path, capsys):
         (None, {"angular_velocity_scale": 1e308, "dt": 10}, []),
         (None, {"disturbance_std": 1e308}, []),
         (None, None, ["--seeds", "1..x"]),
+        (None, {"linear_velocity_scale": 1e307, "dt": 10}, []),
+        (None, {"disturbance_std": 1e307}, []),
+        (None, {"dt": 100.0000001}, []),
+        (None, {"max_steps": 10**6 + 1}, []),
     ],
     ids=[
         "string_steps", "door_goal_point_target", "string_dt", "zero_jobs", "config_nested_too_deep",
@@ -404,7 +444,8 @@ def test_report_rejects_trajectory_files(tmp_path, capsys):
         "out_is_a_file", "repeated_seed", "unbounded_seed_range", "log_path_is_a_directory",
         "log_path_is_a_directory_jobs2", "summary_path_is_a_directory",
         "plan_not_utf8", "config_not_utf8", "linear_step_overflows", "angular_step_overflows",
-        "noise_bound_overflows", "seed_not_an_integer",
+        "noise_bound_overflows", "seed_not_an_integer", "platform_overflows_over_an_episode",
+        "joints_overflow_over_an_episode", "dt_past_envelope", "max_steps_past_envelope",
     ],
 )
 def test_run_rejects_bad_input_with_one_error_line(tmp_path, entry_edit, config, extra):
@@ -422,7 +463,7 @@ def test_run_rejects_bad_input_with_one_error_line(tmp_path, entry_edit, config,
         plan_path.write_bytes(entry_edit)
         argv += ["--plan", str(plan_path)]
     elif entry_edit is not None:
-        doc = json.loads(serialize_plan(builtin_plan("open_cabinet_door")))
+        doc = json.loads((Path(PLAN_DATA_DIR) / "open_cabinet_door.json").read_text(encoding="utf-8"))
         index, key, value = entry_edit
         doc["entries"][index][key] = value
         plan_path.write_text(json.dumps(doc), encoding="utf-8")

@@ -15,23 +15,11 @@ from heurobot.core import (
     axis_mean,
     clamp,
     midpoint,
-    new_action,
     one_hot,
     wrap_angle,
 )
 from heurobot.mockenv import MockEnv
 from heurobot.orchestrator import EpisodeResult
-
-
-def test_new_action_is_all_zeros():
-    assert new_action(3) == (0.0, 0.0, 0.0)
-    assert new_action(13) == (0.0,) * 13
-
-
-@pytest.mark.parametrize("dim", [0, -1])
-def test_new_action_rejects_nonpositive_dim(dim):
-    with pytest.raises(ValueError):
-        new_action(dim)
 
 
 def test_clamp_saturates_componentwise():
@@ -57,7 +45,7 @@ def test_add_zero_is_identity():
     for _ in range(100):
         dim = rng.randint(1, 22)
         a = tuple(rng.uniform(-1, 1) for _ in range(dim))
-        assert add(a, new_action(dim)) == a
+        assert add(a, (0.0,) * dim) == a
 
 
 def test_add_does_not_clamp_but_clamp_after_add_does():
@@ -101,7 +89,7 @@ def test_sum_chain_then_single_clamp_is_in_range():
     rng = random.Random(3)
     for _ in range(200):
         dim = rng.randint(1, 8)
-        total = new_action(dim)
+        total = (0.0,) * dim
         for _ in range(rng.randint(1, 6)):
             total = add(total, tuple(rng.uniform(-1, 1) for _ in range(dim)))
         assert all(-1.0 <= v <= 1.0 for v in clamp(total))

@@ -500,6 +500,12 @@ def test_env_config_pickle_and_copy_rebuild_through_the_check():
         {"angular_velocity_scale": 1e308, "dt": 10},
         {"linear_velocity_scale": 10**308, "dt": 10},
         {"disturbance_std": 1e308},
+        # each product finite, but an episode of such steps leaves the finite floats
+        {"linear_velocity_scale": 1e307, "dt": 10},
+        {"disturbance_std": 1e307},
+        # just past the envelope
+        {"dt": 100.0000001},
+        {"max_steps": 10**6 + 1},
     ],
 )
 def test_env_config_rejects_wrong_typed_and_non_finite_fields(data):

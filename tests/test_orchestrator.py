@@ -6,11 +6,16 @@ from typing import NamedTuple
 import pytest
 
 from heurobot import orchestrator
-from heurobot.core import TASK_KINDS, new_action
+from heurobot.core import TASK_KINDS
 from heurobot.mockenv import EnvConfig, MockEnv
 from heurobot.orchestrator import replay_actions, run_batch, run_episode
 from heurobot.plans import Plan, PlanError, StabilizerOn, builtin_plan, parse_plan
 from heurobot.subtasks import MoveSteps, MoveTo
+
+
+def subtask_trace(result):
+    """Index of the plan entry that produced each step's action."""
+    return tuple(rec.subtask_index for rec in result.trajectory)
 
 
 def idle_plan(task_kind="open_cabinet_door", steps=5):
@@ -40,7 +45,7 @@ def test_episode_stops_when_all_subtasks_finish():
     result = run_episode("open_cabinet_door", idle_plan(steps=5), None, seed=1)
     assert result.steps == 5
     assert not result.success
-    assert result.subtask_trace == (0, 0, 0, 0, 0)
+    assert subtask_trace(result) == (0, 0, 0, 0, 0)
     assert len(result.trajectory) == 5
 
 
@@ -54,7 +59,7 @@ def test_trace_is_monotone_and_covers_the_door_plan():
     plan = builtin_plan("open_cabinet_door")
     result = run_episode("open_cabinet_door", plan, None, seed=3)
     assert result.success
-    trace = result.subtask_trace
+    trace = subtask_trace(result)
     assert all(a <= b for a, b in zip(trace, trace[1:]))
     assert set(trace) == set(range(7))
 
@@ -64,16 +69,16 @@ def test_marker_consumes_no_environment_step():
     result = run_episode("move_bucket", plan, None, seed=2)
     assert result.success
     marker_index = next(i for i, e in enumerate(plan.entries) if e.kind == "stabilizer_on")
-    assert marker_index not in result.subtask_trace
-    assert len(result.subtask_trace) == result.steps == len(result.trajectory)
+    assert marker_index not in subtask_trace(result)
+    assert len(subtask_trace(result)) == result.steps == len(result.trajectory)
 
 
 def test_exactly_one_subtask_stepped_per_env_step():
     for task_kind in TASK_KINDS:
         plan = builtin_plan(task_kind)
         result = run_episode(task_kind, plan, None, seed=5)
-        assert len(result.subtask_trace) == result.steps
-        assert all(plan.entries[i].kind != "stabilizer_on" for i in result.subtask_trace)
+        assert len(subtask_trace(result)) == result.steps
+        assert all(plan.entries[i].kind != "stabilizer_on" for i in subtask_trace(result))
 
 
 def test_stabilizer_silent_before_marker_active_after():
@@ -127,7 +132,7 @@ def test_subtask_errors_become_failed_results(monkeypatch, fail_at):
     assert result.error is not None and f"step {fail_at}" in result.error
     assert result.steps == fail_at
     # only the steps the env completed are recorded
-    assert result.subtask_trace == (0,) * fail_at
+    assert subtask_trace(result) == (0,) * fail_at
 
 
 # Hand-built door plans (13 action dimensions): a ``Plan`` built without the
@@ -136,7 +141,7 @@ DOOR_DIM = 13
 
 
 def idle(steps, label="idle"):
-    return MoveSteps(label, (), steps, new_action(DOOR_DIM))
+    return MoveSteps(label, steps, (0.0,) * DOOR_DIM)
 
 
 class RecordingEntry(NamedTuple):
@@ -147,13 +152,13 @@ class RecordingEntry(NamedTuple):
 
     def step(self, obs, target, taken):
         self.calls.append(taken)
-        return new_action(DOOR_DIM), True
+        return (0.0,) * DOOR_DIM, True
 
 
 def test_marker_as_first_entry_stabilizes_from_step_zero():
     result = run_episode("open_cabinet_door", Plan("open_cabinet_door", (StabilizerOn("hold"), idle(3))), seed=1)
     assert result.error is None
-    assert result.subtask_trace == (1, 1, 1)
+    assert subtask_trace(result) == (1, 1, 1)
     assert any(v != 0.0 for v in result.trajectory[0].stabilizer_action)
 
 
@@ -161,7 +166,7 @@ def test_marker_as_first_entry_stabilizes_from_step_zero():
 def test_marker_as_last_entry_takes_no_step_and_raises_nothing(before, trace):
     result = run_episode("open_cabinet_door", Plan("open_cabinet_door", (*before, StabilizerOn("hold"))), seed=1)
     assert result.error is None and not result.success
-    assert result.subtask_trace == trace
+    assert subtask_trace(result) == trace
     assert all(v == 0.0 for rec in result.trajectory for v in rec.stabilizer_action)
 
 
@@ -170,7 +175,7 @@ def test_entry_finishing_on_the_last_allowed_step_ends_the_episode():
     plan = Plan("open_cabinet_door", (idle(3), later))
     result = run_episode("open_cabinet_door", plan, EnvConfig(max_steps=3), seed=1)
     assert result.error is None
-    assert result.subtask_trace == (0, 0, 0)
+    assert subtask_trace(result) == (0, 0, 0)
     assert later.calls == []
 
 
@@ -179,7 +184,7 @@ def test_error_in_an_entry_stops_every_later_entry():
     later = RecordingEntry("later", [])
     result = run_episode("open_cabinet_door", Plan("open_cabinet_door", (idle(2), broken, later)), seed=1)
     assert result.error == "step 2: 'no_such_selector'"
-    assert result.subtask_trace == (0, 0)
+    assert subtask_trace(result) == (0, 0)
     assert later.calls == []
 
 
@@ -253,7 +258,7 @@ def test_resolve_error_fails_its_episode_not_the_batch(monkeypatch):
     batch = run_batch("open_cabinet_door", plan, None, [1, 2, 3])
     failed = batch.results[1]
     assert (failed.seed, failed.success, failed.steps) == (2, False, 0)
-    assert failed.trajectory == () and failed.subtask_trace == ()
+    assert failed.trajectory == ()
     assert failed.error is not None and "coincides" in failed.error
     assert all(r.success and r.error is None for r in (batch.results[0], batch.results[2]))
     assert batch.success_rate == pytest.approx(2 / 3)

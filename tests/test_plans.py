@@ -11,6 +11,7 @@ import pytest
 from heurobot.core import TASK_KINDS
 from heurobot.orchestrator import run_episode
 from heurobot.plans import (
+    PLAN_DATA_DIR,
     PlanError,
     StabilizerOn,
     builtin_plan,
@@ -18,7 +19,6 @@ from heurobot.plans import (
     load_plan,
     parse_plan,
     resolve,
-    serialize_plan,
 )
 from heurobot.subtasks import MoveSteps, MoveTo
 
@@ -75,28 +75,30 @@ def test_builtin_plan_unknown_kind():
         builtin_plan("juggle_plates")
 
 
-# ------------------------------------------------------------- round trips
+# ------------------------------------------------------------- documents
+
+
+def bundled_doc(task_kind):
+    """The decoded JSON of a bundled plan file."""
+    return json.loads((Path(PLAN_DATA_DIR) / f"{task_kind}.json").read_text(encoding="utf-8"))
 
 
 @pytest.mark.parametrize("task_kind", TASK_KINDS)
-def test_serialize_load_round_trip(task_kind):
-    plan = builtin_plan(task_kind)
-    assert load_plan(serialize_plan(plan)) == plan
+def test_packaged_plan_text_loads_to_the_builtin_plan(task_kind):
     bundled = resources.files("heurobot.plans").joinpath("data", f"{task_kind}.json").read_text("utf-8")
-    assert json.loads(serialize_plan(plan)) == json.loads(bundled)
+    assert load_plan(bundled) == builtin_plan(task_kind)
 
 
 @pytest.mark.parametrize("task_kind", TASK_KINDS)
 def test_builtin_plan_is_a_hashable_value(task_kind):
     plan = builtin_plan(task_kind)
-    assert hash(plan) == hash(load_plan(serialize_plan(plan)))
-    move_steps = [e for e in plan.entries if isinstance(e, MoveSteps) and e.action]
+    assert hash(plan) == hash(builtin_plan(task_kind))
+    move_steps = [e for e in plan.entries if isinstance(e, MoveSteps) and any(e.vector)]
     assert move_steps
     for entry in move_steps:
-        slot, value = entry.action[0]
         with pytest.raises(TypeError):
-            entry.action[slot] = 0.9
-    assert builtin_plan(task_kind) == load_plan(serialize_plan(plan))
+            entry.vector[0] = 0.9
+    assert builtin_plan(task_kind) == plan
 
 
 def test_readme_plan_example_loads():
@@ -218,7 +220,7 @@ def test_validate_rejects_single_arm_plan_using_right_arm():
     ],
 )
 def test_load_rejects_mistyped_fields_and_goal_point_targets_without_goal(task_kind, index, key, value):
-    doc = json.loads(serialize_plan(builtin_plan(task_kind)))
+    doc = bundled_doc(task_kind)
     doc["entries"][index][key] = value
     with pytest.raises(PlanError, match=f"entry {index}"):
         load_plan(json.dumps(doc))
@@ -233,7 +235,7 @@ def test_fuzzed_builtin_plans_fail_typed_or_run(task_kind):
     rng = random.Random(f"plan-fuzz:{task_kind}")
     accepted = 0
     for _ in range(60):
-        doc = json.loads(serialize_plan(builtin_plan(task_kind)))
+        doc = bundled_doc(task_kind)
         entry = rng.choice(doc["entries"])
         key = rng.choice(sorted(entry))
         value = rng.choice(FUZZ_VALUES)

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from heurobot.core import DUAL_ARM, READY_POSE, SINGLE_ARM, ActionIndexMap
-from heurobot.subtasks import SELECTORS, STABILIZER_GAIN, ArmStabilizer, MoveSteps, MoveTo, SubTaskError
+from heurobot.subtasks import SELECTORS, STABILIZER_GAIN, ArmStabilizer, MoveSteps, MoveTo
 
 from helpers import make_obs, robot_state
 
@@ -15,7 +15,7 @@ def obs_at(x):
 
 
 def move_steps(vector, steps):
-    return MoveSteps("move_steps", (), steps, vector)
+    return MoveSteps("move_steps", steps, vector)
 
 
 def move_to(target, index, dim, velocity, threshold, selector="platform_x"):
@@ -88,10 +88,10 @@ def test_move_to_steps_toward_the_target_it_is_given():
     assert mt.step(obs_at(0.0), 1.0, 0) == ((0.5,), False)
 
 
-def test_move_to_nonfinite_selector_output_is_an_error():
-    mt = move_to(0.0, 0, 1, 0.5, 0.01)
-    with pytest.raises(SubTaskError):
-        mt.step(obs_at(float("nan")), 0.0, 0)
+def test_move_to_nan_selector_output_steps_negative_and_never_converges():
+    # the env never observes NaN; a hand-built observation that does runs the entry to the step cap
+    mt = move_to(0.0, 1, 3, 0.5, 0.01)
+    assert mt.step(obs_at(math.nan), 0.0, 0) == ((0.0, -0.5, 0.0), False)
 
 
 def _euler_loop_oracle(x0, xt, v, t, delta):
@@ -290,17 +290,17 @@ def test_stabilizer_dual_arm_reference():
     assert all(v == 0.0 for v in stab.step(obs))
 
 
-@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
-def test_stabilizer_non_finite_joint_is_an_error(bad):
-    stab = ArmStabilizer(one_arm_map(), (pose(),))
-    with pytest.raises(SubTaskError, match="non-finite"):
-        stab.step(obs_for_joints((pose(0.0, bad),)))
-
-
-def test_stabilizer_missing_joint_is_an_error():
-    stab = ArmStabilizer(ActionIndexMap.for_robot(DUAL_ARM), (pose(), pose()))
-    with pytest.raises(SubTaskError, match="not present"):
-        stab.step(obs_for_joints((pose(),)))
+def test_stabilizer_nan_joint_emits_minus_gain_and_never_settles():
+    m = one_arm_map()
+    stab = ArmStabilizer(m, (pose(),))
+    obs = obs_for_joints((pose(0.0, math.nan),))
+    nan_slot = m.joint_slots[0][1]
+    stab.step(obs)  # every joint emits on the first step
+    for _ in range(3):
+        gain = stab.gain
+        act = stab.step(obs)
+        assert act[nan_slot] == -gain
+        assert all(v == 0.0 for i, v in enumerate(act) if i != nan_slot)
 
 
 class CorrectorBankOracle:
