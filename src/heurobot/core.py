@@ -8,7 +8,7 @@ The episode runner clamps the composed sum once, and the environment
 consumes and the log records that same action; ``MockEnv.step`` saturates
 nothing and rejects any component outside [-1, +1], NaN and inf included.
 
-An ``Observation`` is one immutable snapshot per step. Its parts,
+An ``Observation`` is one immutable snapshot per step. It and its parts,
 ``RobotState`` and ``ObjectAttributes``, are named tuples that only the
 environment builds, so they carry no constructor checks; a test over every
 task pins their invariants (which fields are present for which object kind).
@@ -239,42 +239,9 @@ class ObjectAttributes(NamedTuple):
     target_point: Point2 | None = None
 
 
-_set_field = object.__setattr__  # Observation's ``object`` parameter shadows the builtin
+class Observation(NamedTuple):
+    """Snapshot handed to sub-task controllers, one per environment step."""
 
-
-class Observation:
-    """Snapshot handed to sub-task controllers, one per environment step.
-
-    Immutable: assigning or deleting a field raises ``AttributeError``. Not
-    a tuple: ``MockEnv.step`` returns ``(obs, done)`` and the benchmark
-    tracer tells that from ``reset``'s bare observation by ``isinstance(result, tuple)``.
-    """
-
-    __slots__ = ("robot", "object", "step_index")
-
-    def __init__(self, robot: RobotState, object: ObjectAttributes, step_index: int) -> None:
-        _set_field(self, "robot", robot)
-        _set_field(self, "object", object)
-        _set_field(self, "step_index", step_index)
-
-    def _refuse(self, name: str, *value: object) -> None:
-        raise AttributeError(f"cannot change field {name!r}: an Observation is immutable")
-
-    __setattr__ = __delattr__ = _refuse
-
-    def _values(self) -> tuple[RobotState, ObjectAttributes, int]:
-        return self.robot, self.object, self.step_index
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
-    def __repr__(self) -> str:
-        return "Observation(robot={!r}, object={!r}, step_index={!r})".format(*self._values())
-
-    def __reduce__(self):
-        return Observation, self._values()
+    robot: RobotState
+    object: ObjectAttributes
+    step_index: int

@@ -120,15 +120,14 @@ class EnvConfig(CheckedRecord, _EnvConfigFields):
         for name, value in zip(self._fields, self):
             if name == "max_steps":
                 if type(value) is not int or not 1 <= value <= MAX_STEPS:
-                    raise ValueError(f"max_steps must be an integer in [1, {MAX_STEPS}], got {value!r}")
+                    raise ValueError(f"max_steps must be an integer in [1, {MAX_STEPS}], got {_shown(value)}")
             elif name == "rng_seed":
-                if type(value) is not int:
-                    raise ValueError(f"rng_seed must be an integer, got {value!r}")
+                check_seed(value, name)
             elif name == "disturbance_std":
                 if type(value) not in (int, float) or not 0 <= value <= FIELD_MAX:
-                    raise ValueError(f"disturbance_std must be a number in [0, {FIELD_MAX}], got {value!r}")
+                    raise ValueError(f"disturbance_std must be a number in [0, {FIELD_MAX}], got {_shown(value)}")
             elif type(value) not in (int, float) or not 0 < value <= FIELD_MAX:
-                raise ValueError(f"{name} must be a number in (0, {FIELD_MAX}], got {value!r}")
+                raise ValueError(f"{name} must be a number in (0, {FIELD_MAX}], got {_shown(value)}")
         return self
 
     @classmethod
@@ -141,10 +140,24 @@ class EnvConfig(CheckedRecord, _EnvConfigFields):
         return cls(**data)
 
 
-def check_seed(seed: object) -> int:
-    """``seed`` itself if it is an int; anything else, a bool included, raises ValueError."""
+def _shown(value: object) -> str:
+    """``repr(value)``, or the size of an int too long for the interpreter to print."""
+    try:
+        return repr(value)
+    except ValueError:  # past sys.get_int_max_str_digits()
+        return f"an integer of {value.bit_length()} bits"
+
+
+def check_seed(seed: object, name: str = "seed") -> int:
+    """``seed`` itself if it is an int; anything else, a bool included, raises a
+    ValueError that starts with ``name``. So does an int too long to print,
+    since ``reset`` prints the seed into its stream seeds."""
     if type(seed) is not int:
-        raise ValueError(f"seed must be an integer, got {seed!r}")
+        raise ValueError(f"{name} must be an integer, got {seed!r}")
+    try:
+        str(seed)
+    except ValueError:  # past sys.get_int_max_str_digits()
+        raise ValueError(f"{name} must be an integer short enough to print, got one of {seed.bit_length()} bits") from None
     return seed
 
 
@@ -280,10 +293,12 @@ class EnvState:
 class MockEnv:
     """Seeded kinematic environment with a gym-style reset/step surface.
 
-    ``step`` consumes one action vector and returns ``(observation, done)``;
-    ``done`` is raised once the task's success predicate holds or the step
-    cap is reached. All episode state lives in ``state``; the other
-    attributes are per-env constants.
+    ``reset`` and ``step`` both return ``(observation, done)``. ``step``
+    consumes one action vector and raises ``done`` once the task's success
+    predicate holds or the step cap is reached; ``reset`` returns ``done``
+    False even where a config's tolerances count the spawn state as a
+    success, so every episode takes at least one step. All episode state
+    lives in ``state``; the other attributes are per-env constants.
     """
 
     def __init__(self, task_kind: str, config: EnvConfig | None = None):
@@ -297,14 +312,14 @@ class MockEnv:
 
     # ------------------------------------------------------------- reset
 
-    def reset(self, seed: int) -> Observation:
+    def reset(self, seed: int) -> tuple[Observation, bool]:
         """Start an episode; ``seed`` must be an int, and a bool is not one."""
         check_seed(seed)
         cfg = self.config
         layout = _sample_layout(self.object_kind, random.Random(f"{cfg.rng_seed}:{seed}:layout"))
         noise_rng = random.Random(f"{cfg.rng_seed}:{seed}:noise")
         self.state = EnvState(layout, noise_rng, len(self.robot_config.arms))
-        return self._observation()
+        return self._observation(), False
 
     # ------------------------------------------------------------- step
 
@@ -314,8 +329,12 @@ class MockEnv:
             raise RuntimeError("reset() must be called before step()")
         if state.done:
             raise RuntimeError("episode already done; reset() to start a new one")
-        if len(action) != self.index_map.dim:
-            raise ValueError(f"action dimension {len(action)} != {self.index_map.dim}")
+        try:
+            dim = len(action)
+        except TypeError:  # an int, None, an iterator: no dimension at all
+            dim = None
+        if dim != self.index_map.dim:
+            raise ValueError(f"action dimension {dim} != {self.index_map.dim}")
         for v in action:
             try:
                 if -1.0 <= v <= 1.0:  # NaN fails the test too

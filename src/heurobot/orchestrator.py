@@ -65,11 +65,10 @@ def run_episode(task_kind: str, plan: Plan, env_config: EnvConfig | None = None,
     if plan.task_kind != task_kind:
         raise ValueError(f"plan is for {plan.task_kind!r}, episode requested {task_kind!r}")
     env = MockEnv(task_kind, env_config)
-    obs = env.reset(seed)
+    obs, done = env.reset(seed)
     zeros = (0.0,) * env.index_map.dim
     stabilizer: ArmStabilizer | None = None
     records: list[StepRecord] = []
-    done = False
     error: str | None = None
     try:
         targets = resolve(plan, obs)
@@ -177,7 +176,7 @@ def replay_actions(
     exactly, including the disturbance noise stream.
     """
     env = MockEnv(task_kind, env_config)
-    obs = env.reset(seed)
+    obs, _ = env.reset(seed)
     seen = []
     for act in actions:
         seen.append(obs)

@@ -112,7 +112,7 @@ def test_criterion_2_move_to_fidelity():
 
 def _held_load_deviation(seed: int, stabilize: bool) -> float:
     env = MockEnv("move_bucket", EnvConfig(max_steps=400))
-    obs = env.reset(seed)
+    obs, _ = env.reset(seed)
     imap = env.index_map
     # face the bucket (closed loop), then close both grippers on the rim
     bearing = math.atan2(

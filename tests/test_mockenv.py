@@ -19,7 +19,7 @@ from heurobot.mockenv import (
     finger_local,
     fingertips,
 )
-from heurobot.orchestrator import run_episode
+from heurobot.orchestrator import replay_actions, run_episode
 from heurobot.plans import builtin_plan
 
 from helpers import mutate_json
@@ -36,16 +36,16 @@ def random_action(rng, dim):
 
 @pytest.mark.parametrize("task_kind", TASK_KINDS)
 def test_reset_is_deterministic(task_kind):
-    a = MockEnv(task_kind).reset(42)
-    b = MockEnv(task_kind).reset(42)
+    a, _ = MockEnv(task_kind).reset(42)
+    b, _ = MockEnv(task_kind).reset(42)
     assert a == b
 
 
 def test_trajectories_are_bit_identical():
     env1 = MockEnv("move_bucket")
     env2 = MockEnv("move_bucket")
-    obs1 = env1.reset(7)
-    obs2 = env2.reset(7)
+    obs1, _ = env1.reset(7)
+    obs2, _ = env2.reset(7)
     rng = random.Random(123)
     for _ in range(100):
         act = random_action(rng, env1.index_map.dim)
@@ -58,14 +58,14 @@ def test_trajectories_are_bit_identical():
 def test_different_seeds_give_different_layouts():
     poses = set()
     for seed in range(100):
-        obs = MockEnv("open_cabinet_door").reset(seed)
+        obs, _ = MockEnv("open_cabinet_door").reset(seed)
         poses.add(obs.object.handle_position)
     assert len(poses) >= 99
 
 
 def test_config_seed_shifts_the_layout_stream():
-    base = MockEnv("push_chair", EnvConfig(rng_seed=0)).reset(5)
-    other = MockEnv("push_chair", EnvConfig(rng_seed=1)).reset(5)
+    base, _ = MockEnv("push_chair", EnvConfig(rng_seed=0)).reset(5)
+    other, _ = MockEnv("push_chair", EnvConfig(rng_seed=1)).reset(5)
     assert base.object.object_pose != other.object.object_pose
 
 
@@ -74,19 +74,19 @@ def test_config_seed_shifts_the_layout_stream():
 
 def test_handle_heights_stay_in_reachable_band():
     for seed in range(200):
-        obs = MockEnv("open_cabinet_drawer").reset(seed)
+        obs, _ = MockEnv("open_cabinet_drawer").reset(seed)
         assert 0.45 <= obs.object.handle_position[2] <= 0.68
 
 
 def test_bucket_rim_spawns_at_ready_fingertip_height():
     for seed in range(200):
-        obs = MockEnv("move_bucket").reset(seed)
+        obs, _ = MockEnv("move_bucket").reset(seed)
         finger_z = obs.robot.finger_positions[0][2]
         assert abs(obs.object.handle_position[2] - finger_z) <= 0.02 + 1e-9
 
 
 def test_ready_pose_fingertip_geometry():
-    obs = MockEnv("open_cabinet_door").reset(3)
+    obs, _ = MockEnv("open_cabinet_door").reset(3)
     robot = obs.robot
     fx, fy, fz = robot.finger_positions[0]
     expected_x = robot.platform_x + READY_FINGER_FORWARD * math.cos(robot.platform_yaw)
@@ -121,7 +121,7 @@ def test_observations_keep_the_object_kind_invariants(task_kind):
     for seed in range(3):
         actions = [rec.action for rec in run_episode(task_kind, builtin_plan(task_kind), seed=seed).trajectory]
         env = MockEnv(task_kind)
-        seen = [env.reset(seed)] + [env.step(act)[0] for act in actions]
+        seen = [env.reset(seed)[0]] + [env.step(act)[0] for act in actions]
         assert len(seen) == len(actions) + 1 > 1
         for obs in seen:
             assert obs.object.kind == kind
@@ -150,13 +150,27 @@ def test_carry_is_set_exactly_while_every_arm_grasps(task_kind):
 
 
 def test_reset_and_step_return_the_shapes_the_benchmark_tracer_reads():
-    # bench/tracer.py tells step's (obs, done) from reset's obs by isinstance(result, tuple)
+    # bench/tracer.py reads result[0] of whatever reset or step returns
     env = MockEnv("move_bucket")
-    obs = env.reset(0)
-    assert isinstance(obs, Observation) and not isinstance(obs, tuple)
-    result = env.step((0.0,) * env.index_map.dim)
-    assert type(result) is tuple and len(result) == 2
-    assert isinstance(result[0], Observation) and type(result[1]) is bool
+    for result in (env.reset(0), env.step((0.0,) * env.index_map.dim)):
+        assert type(result) is tuple and len(result) == 2
+        assert type(result[0]) is Observation and type(result[1]) is bool
+
+
+def test_observation_is_a_named_tuple():
+    obs, _ = MockEnv("push_chair").reset(4)
+    assert obs == tuple(obs) and hash(obs) == hash(tuple(obs))
+    assert pickle.loads(pickle.dumps(obs)) == obs
+    assert obs._replace(step_index=9).step_index == 9
+
+
+def test_reset_is_not_done_where_the_spawn_state_already_succeeds():
+    # tolerances at FIELD_MAX count a bucket or chair as placed at spawn; the episode still takes a step
+    cfg = EnvConfig(bucket_xy_tolerance=100, bucket_height_tolerance=100, chair_xy_tolerance=100)
+    for task_kind in ("move_bucket", "push_chair"):
+        env = MockEnv(task_kind, cfg)
+        assert env.reset(0)[1] is False and env.success()
+        assert run_episode(task_kind, builtin_plan(task_kind), cfg, seed=0).steps == 1
 
 
 # -------------------------------------------------------------- kinematics
@@ -164,7 +178,7 @@ def test_reset_and_step_return_the_shapes_the_benchmark_tracer_reads():
 
 def test_zero_action_changes_nothing_but_the_step_counter():
     env = MockEnv("push_chair")
-    obs0 = env.reset(11)
+    obs0, _ = env.reset(11)
     obs1, done = env.step((0.0,) * env.index_map.dim)
     assert not done
     assert obs1.step_index == obs0.step_index + 1
@@ -174,7 +188,7 @@ def test_zero_action_changes_nothing_but_the_step_counter():
 
 def test_platform_x_euler_integration():
     env = MockEnv("open_cabinet_door")
-    obs0 = env.reset(1)
+    obs0, _ = env.reset(1)
     act = env.index_map.build({"platform_x": 1.0})
     obs1, _ = env.step(act)
     assert obs1.robot.platform_x == obs0.robot.platform_x + 1.0 * 1.0 * 0.05
@@ -183,7 +197,7 @@ def test_platform_x_euler_integration():
 
 def test_step_index_counts_up_by_one():
     env = MockEnv("open_cabinet_door")
-    obs = env.reset(0)
+    obs, _ = env.reset(0)
     assert obs.step_index == 0
     zero = (0.0,) * env.index_map.dim
     for expected in range(1, 11):
@@ -191,9 +205,9 @@ def test_step_index_counts_up_by_one():
         assert obs.step_index == expected
 
 
-@pytest.mark.parametrize("seed", [True, 1.5, "1"], ids=["bool", "float", "str"])
+@pytest.mark.parametrize("seed", [True, 1.5, "1", 10**5000], ids=["bool", "float", "str", "int_too_long_to_print"])
 def test_reset_rejects_seeds_that_are_not_integers(seed):
-    # True would seed the stream "0:True:layout", not seed 1's
+    # True would seed the stream "0:True:layout", not seed 1's; 10**5000 cannot be printed into one
     with pytest.raises(ValueError, match="seed must be an integer"):
         MockEnv("move_bucket").reset(seed)
     with pytest.raises(ValueError, match="seed must be an integer"):
@@ -203,8 +217,11 @@ def test_reset_rejects_seeds_that_are_not_integers(seed):
 def test_action_validation():
     env = MockEnv("open_cabinet_door")
     env.reset(0)
-    with pytest.raises(ValueError):
-        env.step((0.0,) * 5)
+    for bad in ((0.0,) * 5, 5, None, iter([0.0] * 13)):  # wrong length, or none at all
+        with pytest.raises(ValueError, match="action dimension"):
+            env.step(bad)
+    with pytest.raises(ValueError, match="action dimension"):
+        replay_actions("open_cabinet_door", None, 0, [5])  # what a hand-edited log could hold
     for bad in (math.nan, math.inf, 1.5, -1.0000001):
         with pytest.raises(ValueError, match=r"\[-1, 1\]"):
             env.step(env.index_map.build({"platform_x": bad}))
@@ -235,7 +252,7 @@ def teleport_fingers_to_handle(env, obs):
 def test_drawer_pull_projects_displacement_onto_axis():
     # success disabled so the full 0.3 m pull can be observed end to end
     env = MockEnv("open_cabinet_drawer", EnvConfig(disturbance_std=1e-12, drawer_success_fraction=5.0))
-    obs = env.reset(4)
+    obs, _ = env.reset(4)
     teleport_fingers_to_handle(env, obs)
     close = env.index_map.build({"left_fingers": 0.6})
     obs, _ = env.step(close)
@@ -252,7 +269,7 @@ def test_drawer_pull_projects_displacement_onto_axis():
 def test_drawer_articulation_never_decreases_and_clamps():
     # success disabled (fraction > 1 is unreachable) to drive into the hard stop
     env = MockEnv("open_cabinet_drawer", EnvConfig(disturbance_std=1e-12, drawer_success_fraction=5.0))
-    obs = env.reset(9)
+    obs, _ = env.reset(9)
     teleport_fingers_to_handle(env, obs)
     env.step(env.index_map.build({"left_fingers": 0.6}))
     ax, ay = env.state.layout.axis
@@ -270,7 +287,7 @@ def test_drawer_articulation_never_decreases_and_clamps():
 
 def test_door_articulation_scales_with_handle_radius():
     env = MockEnv("open_cabinet_door", QUIET)
-    obs = env.reset(12)
+    obs, _ = env.reset(12)
     teleport_fingers_to_handle(env, obs)
     env.step(env.index_map.build({"left_fingers": 0.6}))
     lay = env.state.layout
@@ -281,7 +298,7 @@ def test_door_articulation_scales_with_handle_radius():
 
 def test_attach_requires_closing_and_proximity():
     env = MockEnv("open_cabinet_door", QUIET)
-    obs = env.reset(2)
+    obs, _ = env.reset(2)
     teleport_fingers_to_handle(env, obs)
     obs, _ = env.step(env.index_map.build({"left_fingers": -0.5}))  # opening: no attach
     assert obs.robot.grasping == (False,)
@@ -295,7 +312,7 @@ def test_attach_requires_closing_and_proximity():
 
 def test_detach_needs_sustained_opening():
     env = MockEnv("open_cabinet_door", QUIET)
-    obs = env.reset(2)
+    obs, _ = env.reset(2)
     teleport_fingers_to_handle(env, obs)
     env.step(env.index_map.build({"left_fingers": 0.5}))
     open_cmd = env.index_map.build({"left_fingers": -0.5})
@@ -311,7 +328,7 @@ def test_detach_needs_sustained_opening():
 
 def test_disturbance_only_hits_attached_arms():
     env = MockEnv("open_cabinet_door")
-    obs0 = env.reset(6)
+    obs0, _ = env.reset(6)
     zero = (0.0,) * env.index_map.dim
     obs, _ = env.step(zero)
     assert obs.robot.arm_joints == obs0.robot.arm_joints
@@ -331,7 +348,7 @@ def test_inlined_disturbance_matches_normalvariate(std):
     cfg = EnvConfig(disturbance_std=std)
     logged = [rec.action for rec in run_episode("move_bucket", builtin_plan("move_bucket"), cfg, 21).trajectory]
     env = MockEnv("move_bucket", cfg)
-    obs = env.reset(21)
+    obs, _ = env.reset(21)
     k = 0
     while obs.robot.grasping != (True, True):
         obs, _ = env.step(logged[k])
@@ -353,7 +370,7 @@ def test_inlined_disturbance_matches_normalvariate(std):
 def test_no_teleportation_under_random_actions():
     cfg = EnvConfig()
     env = MockEnv("move_bucket", cfg)
-    obs = env.reset(13)
+    obs, _ = env.reset(13)
     rng = random.Random(77)
     lin = cfg.linear_velocity_scale * cfg.dt
     ang = cfg.angular_velocity_scale * cfg.dt
@@ -382,7 +399,7 @@ def test_restoring_a_state_copy_replays_the_episode_exactly():
     # all mutable episode state, noise stream included, lives in env.state
     logged = [rec.action for rec in run_episode("move_bucket", builtin_plan("move_bucket"), seed=21).trajectory]
     env = MockEnv("move_bucket")
-    obs = env.reset(21)
+    obs, _ = env.reset(21)
     k = 0
     while obs.robot.grasping != (True, True):  # load both arms: every step then draws noise
         obs, _ = env.step(logged[k])
@@ -506,6 +523,10 @@ def test_env_config_pickle_and_copy_rebuild_through_the_check():
         # just past the envelope
         {"dt": 100.0000001},
         {"max_steps": 10**6 + 1},
+        # an int too long to print in decimal is named by its field, not by the digit limit
+        {"max_steps": 10**5000},
+        {"dt": 10**5000},
+        {"rng_seed": 10**5000},
     ],
 )
 def test_env_config_rejects_wrong_typed_and_non_finite_fields(data):

@@ -220,7 +220,7 @@ def test_batch_requires_seeds():
         run_batch("open_cabinet_door", idle_plan(), None, [])
 
 
-@pytest.mark.parametrize("seed", [True, 1.5, "1"], ids=["bool", "float", "str"])
+@pytest.mark.parametrize("seed", [True, 1.5, "1", 10**5000], ids=["bool", "float", "str", "int_too_long_to_print"])
 def test_batch_checks_every_seed_before_running_any(seed):
     written = []
     with pytest.raises(ValueError, match="seed must be an integer"):
