@@ -22,7 +22,7 @@ from pathlib import Path
 from .core import TASK_KINDS, read_json
 from .mockenv import EnvConfig
 from .orchestrator import EpisodeResult, run_batch
-from .plans import PlanError, builtin_plan, parse_plan
+from .plans import builtin_plan, parse_plan
 from .trajlog import format_report_table, read_summary, report_rows, write_summary, write_trajectory
 
 
@@ -56,6 +56,16 @@ def _write_log(out_dir: Path, config: EnvConfig, plan_source: str, result: Episo
     write_trajectory(out_dir / f"{result.task_kind}_seed{result.seed:05d}.jsonl", result, config, plan_source)
 
 
+def _parse_file(path: str, parse):
+    """``parse`` of the JSON document in the file at ``path``. Every ValueError
+    starts with ``path``, and one from ``parse`` keeps its type."""
+    doc = read_json(path)  # a file that does not decode is already named
+    try:
+        return parse(doc)
+    except ValueError as e:
+        raise type(e)(f"{path}: {e}") from None
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     try:
         seeds = parse_seeds(args.seeds)
@@ -65,13 +75,10 @@ def cmd_run(args: argparse.Namespace) -> int:
             plan, plan_source = builtin_plan(args.task), "builtin"
         else:
             plan_source = str(args.plan)
-            try:
-                plan = parse_plan(read_json(plan_source))
-            except PlanError as e:
-                raise PlanError(f"{plan_source}: {e}") from None
+            plan = _parse_file(plan_source, parse_plan)
         if plan.task_kind != args.task:
             raise ValueError(f"plan is for {plan.task_kind!r}, not {args.task!r}")
-        config = EnvConfig() if args.config is None else EnvConfig.from_mapping(read_json(args.config))
+        config = EnvConfig() if args.config is None else _parse_file(args.config, EnvConfig.from_mapping)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         write = functools.partial(_write_log, out_dir, config, plan_source)

@@ -5,8 +5,10 @@ Actions are plain tuples of normalized command scalars. The convention for
 every slot is a unitless velocity in [-1, +1]; the environment scales it by
 its configured rates. Actions stay unclamped while controllers compose them.
 The episode runner clamps the composed sum once, and the environment
-consumes and the log records that same action; ``MockEnv.step`` saturates
-nothing and rejects any component outside [-1, +1], NaN and inf included.
+consumes and the log records that same action. ``MockEnv.step`` takes a
+tuple or a list of one number per action dimension and rejects anything
+else, a set, str or bytes included; it saturates nothing and rejects any
+component outside [-1, +1], NaN and inf included.
 
 An ``Observation`` is one immutable snapshot per step. It and its parts,
 ``RobotState`` and ``ObjectAttributes``, are named tuples that only the

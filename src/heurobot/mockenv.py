@@ -248,15 +248,6 @@ def _sample_layout(object_kind: str, rng: random.Random) -> Layout:
 # ---------------------------------------------------------------- state
 
 
-class Carry(NamedTuple):
-    """Rigid offset of a held object, recorded in the mid-finger frame."""
-
-    local_x: float
-    local_y: float
-    z_off: float
-    yaw_off: float
-
-
 class EnvState:
     """All mutable episode state; every observation is built from it.
 
@@ -285,7 +276,9 @@ class EnvState:
         self.object_yaw = layout.object_yaw
         self.object_z = 0.0  # bucket base above ground
         self.articulation = 0.0
-        self.carry: Carry | None = None  # set exactly while every arm of a bucket or chair env grasps
+        # held object's (x, y, z, yaw) offset in the mid-finger frame; set
+        # exactly while every arm of a bucket or chair env grasps
+        self.carry: tuple[float, float, float, float] | None = None
         self.step = 0
         self.done = False
 
@@ -329,10 +322,7 @@ class MockEnv:
             raise RuntimeError("reset() must be called before step()")
         if state.done:
             raise RuntimeError("episode already done; reset() to start a new one")
-        try:
-            dim = len(action)
-        except TypeError:  # an int, None, an iterator: no dimension at all
-            dim = None
+        dim = len(action) if isinstance(action, (tuple, list)) else None  # a set, str or bytes is no action
         if dim != self.index_map.dim:
             raise ValueError(f"action dimension {dim} != {self.index_map.dim}")
         for v in action:
@@ -424,14 +414,11 @@ class MockEnv:
             mid = midpoint(fingers)
             yaw = state.platform[3]
             c, s = math.cos(yaw), math.sin(yaw)
-            carry = state.carry
-            state.object_xy = (
-                mid[0] + c * carry.local_x - s * carry.local_y,
-                mid[1] + s * carry.local_x + c * carry.local_y,
-            )
-            state.object_yaw = wrap_angle(yaw + carry.yaw_off)
+            local_x, local_y, z_off, yaw_off = state.carry
+            state.object_xy = (mid[0] + c * local_x - s * local_y, mid[1] + s * local_x + c * local_y)
+            state.object_yaw = wrap_angle(yaw + yaw_off)
             if self.object_kind == "bucket":
-                state.object_z = max(mid[2] + carry.z_off, 0.0)
+                state.object_z = max(mid[2] + z_off, 0.0)
         elif self.object_kind == "bucket" and not any(state.grasping):
             # released load settles, rate-limited, onto whatever supports it
             dx = state.object_xy[0] - lay.target[0]
@@ -484,11 +471,11 @@ class MockEnv:
             yaw = state.platform[3]
             c, s = math.cos(yaw), math.sin(yaw)
             ox, oy = state.object_xy
-            state.carry = Carry(
-                local_x=c * (ox - mid[0]) + s * (oy - mid[1]),
-                local_y=-s * (ox - mid[0]) + c * (oy - mid[1]),
-                z_off=state.object_z - mid[2],
-                yaw_off=wrap_angle(state.object_yaw - yaw),
+            state.carry = (
+                c * (ox - mid[0]) + s * (oy - mid[1]),
+                -s * (ox - mid[0]) + c * (oy - mid[1]),
+                state.object_z - mid[2],
+                wrap_angle(state.object_yaw - yaw),
             )
 
     def _handle_position(self) -> Point3:

@@ -148,13 +148,18 @@ class Plan(NamedTuple):
 def parse_plan(doc: object) -> Plan:
     """Check a decoded plan document once and build its typed entries.
 
-    Raises ``PlanError`` unless every entry uses its kind's fields with the
-    JSON types they need (numbers finite and not bools, ``steps`` an integer
-    >= 1), names slots and joints of the task's robot and known selectors,
-    and uses goal-point targets only on tasks that have a goal point.
+    Raises ``PlanError`` unless the document has no keys but
+    ``schema_version``, ``task_kind`` and ``entries``, and every entry uses
+    its kind's fields with the JSON types they need (numbers finite and not
+    bools, ``steps`` an integer >= 1), names slots and joints of the task's
+    robot and known selectors, and uses goal-point targets only on tasks that
+    have a goal point. Every number but ``steps`` is stored as a float.
     """
     if not isinstance(doc, dict):
         raise PlanError("plan document must be a JSON object")
+    unknown = sorted(set(doc) - {"schema_version", "task_kind", "entries"})
+    if unknown:
+        raise PlanError(f"unknown plan keys {unknown}")
     version = doc.get("schema_version", PLAN_SCHEMA_VERSION)
     if type(version) is not int or version != PLAN_SCHEMA_VERSION:
         raise PlanError(f"unsupported plan schema_version {version!r}")
@@ -224,6 +229,9 @@ def parse_plan(doc: object) -> Plan:
             threshold = obj.get("threshold", DEFAULT_THRESHOLDS.get(slot, DEFAULT_THRESHOLD))
             if not (is_finite_number(threshold) and threshold > 0.0):
                 raise PlanError(f"{where}: threshold must be a positive finite number, got {threshold!r}")
+            if rule is None:
+                target = float(target)
+            velocity, threshold = float(velocity), float(threshold)  # 1 and 1.0 log the same bytes
             entries.append(
                 MoveTo(label, slot, selector, target, velocity, threshold, index_map.index_of(slot), index_map.dim)
             )

@@ -479,7 +479,7 @@ def test_run_rejects_bad_input_with_one_error_line(tmp_path, entry_edit, config,
     assert "Traceback" not in proc.stderr
     if entry_edit is not None:  # a plan file that does not decode or parse names its file first
         assert proc.stderr.startswith(f"error: {plan_path}: ")
-    if isinstance(config, (str, bytes)):  # a config that does not decode names its file first
+    if config is not None:  # a config file that does not decode or check names its file first
         assert proc.stderr.startswith(f"error: {config_path}: ")
     assert not out.exists()
     assert taken.read_text(encoding="utf-8") == "not a directory\n"

@@ -217,7 +217,9 @@ def test_reset_rejects_seeds_that_are_not_integers(seed):
 def test_action_validation():
     env = MockEnv("open_cabinet_door")
     env.reset(0)
-    for bad in ((0.0,) * 5, 5, None, iter([0.0] * 13)):  # wrong length, or none at all
+    in_range = [i / 20 for i in range(13)]
+    # wrong length, no length at all, or the right length but not a tuple or a list
+    for bad in ((0.0,) * 5, 5, None, iter([0.0] * 13), set(in_range), dict.fromkeys(in_range), "0" * 13, b"\x01" * 13):
         with pytest.raises(ValueError, match="action dimension"):
             env.step(bad)
     with pytest.raises(ValueError, match="action dimension"):
@@ -232,6 +234,7 @@ def test_action_validation():
             env.step(action)
     assert env.state.step == 0  # a rejected action moves nothing
     env.step(env.index_map.build({"platform_x": 1.0, "platform_y": -1.0}))  # the bounds themselves are accepted
+    env.step(in_range)  # a list steps like a tuple
     with pytest.raises(RuntimeError):
         MockEnv("open_cabinet_door").step((0.0,) * 13)
 

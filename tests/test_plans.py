@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from heurobot.core import TASK_KINDS
+from heurobot.mockenv import EnvConfig
 from heurobot.orchestrator import run_episode
 from heurobot.plans import (
     PLAN_DATA_DIR,
@@ -21,6 +22,7 @@ from heurobot.plans import (
     resolve,
 )
 from heurobot.subtasks import MoveSteps, MoveTo
+from heurobot.trajlog import trajectory_lines
 
 from helpers import bucket_attributes, chair_attributes, door_attributes, make_obs, robot_state
 
@@ -166,10 +168,33 @@ def test_load_rejects_unknown_entry_keys_and_kinds():
         load_plan('{"task_kind": "push_chair", "entries": [{"kind": "teleport", "label": "a"}]}')
 
 
-@pytest.mark.parametrize("version", ["99", "true", "1.0"])
-def test_load_rejects_bad_schema_version(version):
-    with pytest.raises(PlanError, match="schema_version"):
+@pytest.mark.parametrize(
+    "version, error",
+    [
+        ("99", "schema_version"),
+        ("true", "schema_version"),
+        ("1.0", "schema_version"),
+        ('1, "schema_verison": 2', r"unknown plan keys \['schema_verison'\]"),  # the document's own keys are checked too
+        ('1, "comment": "x"', r"unknown plan keys \['comment'\]"),
+    ],
+    ids=["99", "true", "1.0", "misspelled_key", "comment_key"],
+)
+def test_load_rejects_bad_schema_version(version, error):
+    with pytest.raises(PlanError, match=error):
         load_plan('{"schema_version": %s, "task_kind": "push_chair", "entries": []}' % version)
+
+
+def test_integer_and_float_plan_numbers_log_the_same_bytes():
+    # velocity 1 and 1.0 are equal plans, so the actions they log must be equal bytes too
+    logs = []
+    for velocity in (1, 1.0):
+        doc = bundled_doc("open_cabinet_door")
+        for entry in doc["entries"]:
+            if entry["kind"] == "move_to":
+                entry["velocity"] = velocity
+        result = run_episode("open_cabinet_door", load_plan(json.dumps(doc)), None, seed=0)
+        logs.append(trajectory_lines(result, EnvConfig(), "plan.json"))
+    assert logs[0] == logs[1]
 
 
 def test_validate_rejects_bad_velocity_threshold_and_task():
