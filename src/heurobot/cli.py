@@ -56,16 +56,6 @@ def _write_log(out_dir: Path, config: EnvConfig, plan_source: str, result: Episo
     write_trajectory(out_dir / f"{result.task_kind}_seed{result.seed:05d}.jsonl", result, config, plan_source)
 
 
-def _parse_file(path: str, parse):
-    """``parse`` of the JSON document in the file at ``path``. Every ValueError
-    starts with ``path``, and one from ``parse`` keeps its type."""
-    doc = read_json(path)  # a file that does not decode is already named
-    try:
-        return parse(doc)
-    except ValueError as e:
-        raise type(e)(f"{path}: {e}") from None
-
-
 def cmd_run(args: argparse.Namespace) -> int:
     try:
         seeds = parse_seeds(args.seeds)
@@ -75,10 +65,10 @@ def cmd_run(args: argparse.Namespace) -> int:
             plan, plan_source = builtin_plan(args.task), "builtin"
         else:
             plan_source = str(args.plan)
-            plan = _parse_file(plan_source, parse_plan)
+            plan = read_json(plan_source, parse_plan)
         if plan.task_kind != args.task:
             raise ValueError(f"plan is for {plan.task_kind!r}, not {args.task!r}")
-        config = EnvConfig() if args.config is None else _parse_file(args.config, EnvConfig.from_mapping)
+        config = EnvConfig() if args.config is None else read_json(args.config, EnvConfig.from_mapping)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         write = functools.partial(_write_log, out_dir, config, plan_source)
@@ -107,7 +97,7 @@ def cmd_report(args: argparse.Namespace) -> int:
             summaries.append(read_summary(path))
         except (OSError, ValueError) as e:
             skipped += 1
-            print(f"warning: skipping {path}: {e}", file=sys.stderr)
+            print(f"warning: skipping {e}", file=sys.stderr)
     if not summaries:
         print("error: no readable summary files", file=sys.stderr)
         return 1

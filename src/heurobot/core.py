@@ -6,9 +6,10 @@ every slot is a unitless velocity in [-1, +1]; the environment scales it by
 its configured rates. Actions stay unclamped while controllers compose them.
 The episode runner clamps the composed sum once, and the environment
 consumes and the log records that same action. ``MockEnv.step`` takes a
-tuple or a list of one number per action dimension and rejects anything
-else, a set, str or bytes included; it saturates nothing and rejects any
-component outside [-1, +1], NaN and inf included.
+tuple or a list of one int or float per action dimension (other number
+types are unsupported; a bool passes as 0 or 1) and rejects any other
+container, a set, str or bytes included; it saturates nothing and rejects
+any component outside [-1, +1], NaN and inf included.
 
 An ``Observation`` is one immutable snapshot per step. It and its parts,
 ``RobotState`` and ``ObjectAttributes``, are named tuples that only the
@@ -86,10 +87,16 @@ def loads_json(data: str | bytes, source: object, line: int = 1) -> object:
         raise ValueError(f"{source}: invalid JSON: {e}") from None
 
 
-def read_json(path) -> object:
-    """The JSON document in the file at ``path``; a file that does not decode raises ``loads_json``'s ValueError."""
+def read_json(path, parse):
+    """``parse`` of the JSON document in the file at ``path``. Every ValueError starts
+    with ``path``: a file that does not decode raises ``loads_json``'s, and one from
+    ``parse`` keeps its type."""
     with open(path, "rb") as fh:
-        return loads_json(fh.read(), path)
+        doc = loads_json(fh.read(), path)
+    try:
+        return parse(doc)
+    except ValueError as e:
+        raise type(e)(f"{path}: {e}") from None
 
 
 def wrap_angle(angle: float) -> float:
@@ -203,13 +210,8 @@ class ActionIndexMap:
         return tuple(out)
 
 
-def axis_mean(points: tuple[Point3, ...], axis: int) -> float:
-    """Mean of one coordinate of the points, summed in point order."""
-    return sum([p[axis] for p in points]) / len(points)
-
-
 def midpoint(points: tuple[Point3, ...]) -> Point3:
-    """Mean of the points, each axis summed as ``axis_mean`` sums it: in point order, from the int 0."""
+    """Mean of the points, each axis summed in point order from the int 0."""
     n = len(points)
     return tuple([sum(axis) / n for axis in zip(*points)])
 

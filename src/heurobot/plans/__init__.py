@@ -43,10 +43,11 @@ ENTRY_FIELDS = {
 
 PLAN_SCHEMA_VERSION = 1
 
-# convergence defaults when an entry does not pin its own values
+# convergence defaults when an entry does not pin its own values; a threshold
+# is chosen by slot but compared in the unit of the entry's selector
 DEFAULT_VELOCITY = 0.5
-DEFAULT_THRESHOLDS = {"platform_rotation": 0.02}  # rad; translations below
-DEFAULT_THRESHOLD = 0.01  # m
+DEFAULT_THRESHOLDS = {"platform_rotation": 0.02}
+DEFAULT_THRESHOLD = 0.01
 
 
 class PlanError(ValueError):
@@ -275,4 +276,4 @@ def builtin_plan(task_kind: str) -> Plan:
     """Bundled solution script for one of the four task kinds, read and parsed on every call."""
     if task_kind not in TASK_KINDS:
         raise PlanError(f"unknown task kind {task_kind!r}")
-    return parse_plan(read_json(os.path.join(PLAN_DATA_DIR, f"{task_kind}.json")))
+    return read_json(os.path.join(PLAN_DATA_DIR, f"{task_kind}.json"), parse_plan)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Callable, NamedTuple
 
-from .core import DUAL_ARM, Action, ActionIndexMap, Observation, axis_mean, one_hot
+from .core import DUAL_ARM, Action, ActionIndexMap, Observation, midpoint, one_hot
 
 
 Selector = Callable[[Observation], float]
@@ -45,9 +45,9 @@ SELECTORS: dict[str, Selector] = {
     "platform_y": lambda obs: obs.robot.platform_y,
     "platform_height": lambda obs: obs.robot.platform_height,
     "platform_yaw": lambda obs: obs.robot.platform_yaw,
-    "finger_x": lambda obs: axis_mean(obs.robot.finger_positions, 0),
-    "finger_y": lambda obs: axis_mean(obs.robot.finger_positions, 1),
-    "finger_height": lambda obs: axis_mean(obs.robot.finger_positions, 2),
+    "finger_x": lambda obs: midpoint(obs.robot.finger_positions)[0],
+    "finger_y": lambda obs: midpoint(obs.robot.finger_positions)[1],
+    "finger_height": lambda obs: midpoint(obs.robot.finger_positions)[2],
     "object_x": lambda obs: obs.object.object_pose[0],
     "object_y": lambda obs: obs.object.object_pose[1],
     **JOINT_SELECTORS,

@@ -115,24 +115,28 @@ def write_summary(path, batch: BatchResult, config: EnvConfig, plan_source: str,
         fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-def read_summary(path) -> dict:
-    """Returns the summary document; raises ValueError on schema or type mismatch."""
-    doc = read_json(path)
+def _check_summary(doc: object) -> dict:
+    """``doc`` if it is a summary document; raises ValueError on schema or type mismatch."""
     if not _is_schema(doc, "summary"):
-        raise ValueError(f"{path}: not a schema v{SCHEMA_VERSION} summary file")
+        raise ValueError(f"not a schema v{SCHEMA_VERSION} summary file")
     for key in ("task", "success_rate", "mean_steps", "episodes"):
         if key not in doc:
-            raise ValueError(f"{path}: summary missing {key!r}")
+            raise ValueError(f"summary missing {key!r}")
     if not isinstance(doc["task"], str):
-        raise ValueError(f"{path}: summary 'task' must be a string")
+        raise ValueError("summary 'task' must be a string")
     for key in ("success_rate", "mean_steps"):
         if not is_finite_number(doc[key]):
-            raise ValueError(f"{path}: summary {key!r} must be a finite number")
+            raise ValueError(f"summary {key!r} must be a finite number")
     if not isinstance(doc["episodes"], list) or not all(isinstance(e, dict) for e in doc["episodes"]):
-        raise ValueError(f"{path}: summary 'episodes' must be a list of objects")
+        raise ValueError("summary 'episodes' must be a list of objects")
     if not all(type(e.get("success")) is bool for e in doc["episodes"]):
-        raise ValueError(f"{path}: summary episode 'success' must be true or false")
+        raise ValueError("summary episode 'success' must be true or false")
     return doc
+
+
+def read_summary(path) -> dict:
+    """The summary document in the file at ``path``; every ValueError starts with ``path``."""
+    return read_json(path, _check_summary)
 
 
 def report_rows(summaries: list[dict]) -> list[dict]:

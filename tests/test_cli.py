@@ -257,6 +257,8 @@ def test_report_skips_malformed_files_with_warnings(tmp_path, capsys):
     assert rc == 0
     assert "open_cabinet_door" in captured.out
     assert captured.err.count("warning: skipping") == len(junk)
+    for path in junk:  # each skipped file is named once
+        assert captured.err.count(path) == 1
 
     for path in junk:
         rc = main(["report", path])

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from heurobot.core import TASK_KINDS
+from heurobot.core import TASK_KINDS, read_json
 from heurobot.mockenv import EnvConfig
 from heurobot.orchestrator import run_episode
 from heurobot.plans import (
@@ -131,6 +131,29 @@ def test_load_rejects_json_beyond_parser_limits():
         load_plan("[" * 100_000)
     with pytest.raises(PlanError, match="invalid JSON"):
         load_plan('{"task_kind": "push_chair", "entries": [{"kind": "move_steps", "steps": 1' + "0" * 5000 + "}]}")
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ("[]", "plan document must be a JSON object"),
+        ('{"task_kind": "push_chair", "entries": {}}', "requires an 'entries' list"),
+        ('{"task_kind": "push_chair", "entries": [1]}', "entry 0: expected an object, got int"),
+    ],
+    ids=["not_object", "entries_not_list", "entry_not_object"],
+)
+def test_load_rejects_documents_and_entries_of_the_wrong_shape(text, error):
+    with pytest.raises(PlanError, match=re.escape(error)):
+        load_plan(text)
+
+
+def test_read_json_names_the_plan_file_of_a_bad_entry(tmp_path):
+    doc = bundled_doc("open_cabinet_door")
+    doc["entries"][1]["velocity"] = 2.0
+    path = tmp_path / "door.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(PlanError, match=rf"^{re.escape(str(path))}: entry 1 \("):
+        read_json(path, parse_plan)
 
 
 def test_load_duplicate_stabilizer_marker():
@@ -344,6 +367,8 @@ def test_eval_target_vocabulary():
     # robot at origin, target at (1, 0): edge point backs off along +x
     assert eval_target("target_edge_x:0.35", obs) == pytest.approx(0.65)
     assert eval_target("target_edge_y:0.35", obs) == pytest.approx(0.0)
+    with pytest.raises(PlanError, match="coincides"):
+        eval_target("target_edge_x:0.35", make_obs(obj=bucket_attributes(target=(0.0, 0.0))))
     with pytest.raises(PlanError):
         eval_target("target_x", door_obs())  # no target point on a door
     with pytest.raises(PlanError):

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from heurobot.core import DUAL_ARM, READY_POSE, SINGLE_ARM, ActionIndexMap
+from heurobot.core import DUAL_ARM, READY_POSE, SINGLE_ARM, ActionIndexMap, midpoint
 from heurobot.subtasks import SELECTORS, STABILIZER_GAIN, ArmStabilizer, MoveSteps, MoveTo
 
 from helpers import make_obs, robot_state
@@ -176,6 +176,16 @@ def test_finger_selectors_average_over_arms():
     assert SELECTORS["finger_x"](obs) == pytest.approx(0.4)
     assert SELECTORS["finger_y"](obs) == pytest.approx(0.0)
     assert SELECTORS["finger_height"](obs) == pytest.approx(0.6)
+
+
+def test_finger_selectors_read_the_fingertip_midpoint_bit_for_bit():
+    rng = random.Random(29)
+    cases = [((-0.0, -0.0, -0.0), (-0.0, -0.0, -0.0)), ((0.1, 0.2, 0.3), (0.7, -0.0, 1e-300))]
+    cases += [tuple(tuple(rng.uniform(-2, 2) for _ in range(3)) for _ in range(2)) for _ in range(100)]
+    for fingers in cases:
+        obs = make_obs(robot=robot_state(arm_joints=((0.0,) * 8,) * 2, finger_positions=fingers))
+        for axis, name in enumerate(("finger_x", "finger_y", "finger_height")):
+            assert repr(SELECTORS[name](obs)) == repr(midpoint(fingers)[axis])
 
 
 def test_arm_joint_selector_names():
