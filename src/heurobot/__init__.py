@@ -13,7 +13,7 @@ from .core import (
 )
 from .mockenv import EnvConfig, MockEnv
 from .orchestrator import BatchResult, EpisodeResult, replay_actions, run_batch, run_episode
-from .plans import Plan, PlanError, builtin_plan, load_plan, resolve
+from .plans import Plan, PlanError, builtin_plan, resolve
 from .subtasks import ArmStabilizer, MoveSteps, MoveTo
 
 __version__ = "0.1.0"
@@ -37,7 +37,6 @@ __all__ = [
     "add",
     "builtin_plan",
     "clamp",
-    "load_plan",
     "replay_actions",
     "resolve",
     "run_batch",

@@ -71,11 +71,11 @@ def is_finite_number(value: object) -> bool:
     return type(value) in (int, float) and abs(value) <= sys.float_info.max
 
 
-def loads_json(data: str | bytes, source: object, line: int = 1) -> object:
+def loads_json(data: bytes, source: object, line: int = 1) -> object:
     """The package's one ``json.loads``: every decode failure is a ValueError that starts with ``source``.
-    Bytes must be strict UTF-8 (no BOM, no UTF-16/32); ``line`` is the file line ``data`` starts on."""
+    ``data`` must be strict UTF-8 (no BOM, no UTF-16/32); ``line`` is the file line ``data`` starts on."""
     try:
-        return json.loads(data if isinstance(data, str) else data.decode("utf-8"))
+        return json.loads(data.decode("utf-8"))
     except json.JSONDecodeError as e:
         raise ValueError(f"{source}: invalid JSON at line {e.lineno + line - 1}, column {e.colno}: {e.msg}") from None
     except UnicodeDecodeError as e:  # named by the line of its first bad byte

@@ -26,7 +26,6 @@ from ..core import (
     ActionIndexMap,
     Observation,
     is_finite_number,
-    loads_json,
     read_json,
     wrap_angle,
 )
@@ -255,16 +254,6 @@ def resolve(plan: Plan, init_obs: Observation) -> list[float | None]:
 
 
 # ------------------------------------------------------------- documents
-
-
-def load_plan(text: str) -> Plan:
-    """Decode a plan document and parse it; text that is not JSON, empty text included,
-    raises ``PlanError("plan document: invalid JSON at line L, column C: ...")``."""
-    try:
-        doc = loads_json(text, "plan document")
-    except ValueError as e:
-        raise PlanError(str(e)) from None
-    return parse_plan(doc)
 
 
 # Read with ``read_json``: importing ``importlib.resources`` takes 15-28 ms of

@@ -2,7 +2,8 @@
 
 Trajectories are JSON Lines: a self-describing header line followed by one
 record per environment step. Keys are sorted and floats keep their shortest
-round-trip repr, so identical episodes produce byte-identical files and
+round-trip repr, and both writers emit UTF-8 with ``\n`` line ends on every
+platform, so identical episodes produce byte-identical files and
 determinism checks can diff them directly.
 """
 
@@ -57,7 +58,7 @@ def trajectory_lines(result: EpisodeResult, config: EnvConfig, plan_source: str)
 
 
 def write_trajectory(path, result: EpisodeResult, config: EnvConfig, plan_source: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for line in trajectory_lines(result, config, plan_source):
             fh.write(line + "\n")
 
@@ -111,7 +112,7 @@ def write_summary(path, batch: BatchResult, config: EnvConfig, plan_source: str,
         "success_rate": batch.success_rate,
         "mean_steps": batch.mean_steps,
     }
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 

@@ -14,8 +14,9 @@ import heurobot
 from heurobot.cli import MAX_SEEDS, main, parse_seeds
 from heurobot.core import TASK_KINDS, TASK_ROBOT, ActionIndexMap
 from heurobot.mockenv import FIELD_MAX, EnvConfig
-from heurobot.plans import PLAN_DATA_DIR
-from heurobot.trajlog import format_report_table, read_summary, read_trajectory, report_rows
+from heurobot.orchestrator import run_episode
+from heurobot.plans import PLAN_DATA_DIR, builtin_plan
+from heurobot.trajlog import format_report_table, read_summary, read_trajectory, report_rows, trajectory_lines
 
 from helpers import mutate_bytes, mutate_json
 
@@ -44,6 +45,7 @@ def test_importing_the_cli_loads_no_introspection_modules():
 
 def test_parse_seeds():
     assert parse_seeds("5") == [5]
+    assert parse_seeds("5..5") == [5]
     assert parse_seeds("2..4") == [2, 3, 4]
     assert parse_seeds("1,9,5") == [1, 9, 5]
     with pytest.raises(ValueError):
@@ -126,6 +128,35 @@ def test_jobs_do_not_change_any_output_byte(tmp_path, capsys, task):
     assert [line.split(":")[0] for line in stdout["1"].splitlines()[:5]] == [f"seed {s}" for s in (1, 2, 3, 5, 6)]
     names = run_dir_files(tmp_path / "jobs1")
     assert len(names) == 6 and names == run_dir_files(tmp_path / "jobs2")
+    for name in names:
+        assert (tmp_path / "jobs1" / name).read_bytes() == (tmp_path / "jobs2" / name).read_bytes()
+
+
+def test_run_writes_the_in_process_bytes_with_newline_line_ends(tmp_path):
+    # text mode translates "\n" to os.linesep unless the writer pins newline="\n"
+    out = tmp_path / "runs"
+    assert main(["run", "--task", "move_bucket", "--seeds", "3", "--out", str(out), "--quiet"]) == 0
+    result = run_episode("move_bucket", builtin_plan("move_bucket"), EnvConfig(), seed=3)
+    lines = trajectory_lines(result, EnvConfig(), "builtin")
+    assert (out / "move_bucket_seed00003.jsonl").read_bytes() == "".join(line + "\n" for line in lines).encode()
+    summary = (out / "move_bucket_summary.json").read_bytes()
+    assert b"\r" not in summary and summary.endswith(b"}\n")
+
+
+def test_spawned_workers_write_the_bytes_of_a_serial_run(tmp_path):
+    # under spawn each worker re-imports the package and unpickles the plan and the writer
+    env = dict(os.environ, PYTHONPATH=str(Path(heurobot.__file__).parents[1]))
+    code = (
+        "import multiprocessing as mp, sys; from heurobot.cli import main; "
+        "mp.set_start_method('spawn'); sys.exit(main(sys.argv[1:]))"
+    )
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}"
+        args = ["run", "--task", "move_bucket", "--seeds", "0..7", "--jobs", jobs, "--out", str(out), "--quiet"]
+        proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, encoding="utf-8", env=env)
+        assert proc.returncode == 0, proc.stderr
+    names = run_dir_files(tmp_path / "jobs1")
+    assert len(names) == 9 and names == run_dir_files(tmp_path / "jobs2")
     for name in names:
         assert (tmp_path / "jobs1" / name).read_bytes() == (tmp_path / "jobs2" / name).read_bytes()
 

@@ -10,6 +10,7 @@ from heurobot import mockenv
 from heurobot.mockenv import (
     ARM_MOUNTS,
     DETACH_OPEN_STEPS,
+    HEIGHT_LIMITS,
     NOISE_TRUNCATION,
     PLATFORM_TOP_HEIGHT,
     EnvConfig,
@@ -398,6 +399,54 @@ def test_no_teleportation_under_random_actions():
         prev = obs
 
 
+@pytest.mark.parametrize("task_kind", TASK_KINDS)
+def test_fuzzed_actions_keep_the_state_invariants(task_kind):
+    """Random piecewise-constant actions, finger commands biased to close, keep the state in range.
+
+    Each episode first replays a random prefix of the builtin plan's actions, so
+    door and drawer handles get grasped too, then holds random actions for 1-20
+    steps at a time. Two invariants the mock does not keep yet are left out, and
+    belong with the mock's slip and support fix (ROADMAP item 10): a held grip
+    can drift more than 0.25 m from its fingertip, and a carried bucket can sink
+    below the platform top.
+    """
+    # success fractions past any reachable opening keep a door or drawer episode going up to its hard stop
+    cfg = EnvConfig(max_steps=400, door_success_fraction=100, drawer_success_fraction=100)
+    carries = TASK_OBJECT[task_kind] in ("bucket", "chair")
+    articulated = TASK_OBJECT[task_kind] in ("door", "drawer")
+    held_steps = 0
+    for seed in range(30):
+        rng = random.Random(f"mock-fuzz:{task_kind}:{seed}")
+        logged = [rec.action for rec in run_episode(task_kind, builtin_plan(task_kind), cfg, seed=seed).trajectory]
+        segments = [(action, 1) for action in logged[: rng.randrange(len(logged))]]
+        env = MockEnv(task_kind, cfg)
+        env.reset(seed)
+        done = False
+        while not done:
+            if segments:
+                action, repeats = segments.pop(0)
+            else:
+                action = list(random_action(rng, env.index_map.dim))
+                for slot in env.index_map.finger_slots:
+                    action[slot] = rng.uniform(-0.25, 1.0)
+                repeats = rng.randint(1, 20)
+            for _ in range(repeats):
+                before = env.state.articulation
+                _, done = env.step(action)
+                state = env.state
+                where = f"seed {seed}, step {state.step}"
+                assert HEIGHT_LIMITS[0] <= state.platform[2] <= HEIGHT_LIMITS[1], where
+                assert -math.pi < state.platform[3] <= math.pi and -math.pi < state.object_yaw <= math.pi, where
+                if articulated:
+                    assert 0.0 <= before <= state.articulation <= state.layout.art_range, where
+                assert state.object_z >= 0.0, where
+                assert (state.carry is not None) == (carries and all(state.grasping)), where
+                held_steps += all(state.grasping)
+                if done:
+                    break
+    assert held_steps > 0  # grasps happen, so the held-side checks run
+
+
 def test_restoring_a_state_copy_replays_the_episode_exactly():
     # all mutable episode state, noise stream included, lives in env.state
     logged = [rec.action for rec in run_episode("move_bucket", builtin_plan("move_bucket"), seed=21).trajectory]
@@ -426,6 +475,11 @@ def test_episode_caps_at_max_steps():
     assert done and obs.step_index == 50
     with pytest.raises(RuntimeError):
         env.step(zero)
+    # both ends of the accepted range [1, 10**6] build; at 1 an episode takes exactly one step
+    assert EnvConfig(max_steps=10**6).max_steps == 10**6
+    for task_kind in ("push_chair", "open_cabinet_door"):
+        result = run_episode(task_kind, builtin_plan(task_kind), EnvConfig(max_steps=1), seed=0)
+        assert result.steps == 1 and len(result.trajectory) == 1
 
 
 # ----------------------------------------------------------------- success
@@ -435,6 +489,7 @@ def test_episode_caps_at_max_steps():
 def test_fresh_reset_is_never_a_success(task_kind):
     for seed in range(50):
         env = MockEnv(task_kind)
+        assert not env.success()  # before reset too
         env.reset(seed)
         assert not env.success()
 

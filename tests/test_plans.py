@@ -17,7 +17,6 @@ from heurobot.plans import (
     StabilizerOn,
     builtin_plan,
     eval_target,
-    load_plan,
     parse_plan,
     resolve,
 )
@@ -88,7 +87,7 @@ def bundled_doc(task_kind):
 @pytest.mark.parametrize("task_kind", TASK_KINDS)
 def test_packaged_plan_text_loads_to_the_builtin_plan(task_kind):
     bundled = resources.files("heurobot.plans").joinpath("data", f"{task_kind}.json").read_text("utf-8")
-    assert load_plan(bundled) == builtin_plan(task_kind)
+    assert parse_plan(json.loads(bundled)) == builtin_plan(task_kind)
 
 
 @pytest.mark.parametrize("task_kind", TASK_KINDS)
@@ -107,30 +106,31 @@ def test_readme_plan_example_loads():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     section = readme.split("## Plan documents", 1)[1]
     example = re.search(r"```json\n(.*?)```", section, re.S).group(1)
-    plan = load_plan(example)
+    plan = parse_plan(json.loads(example))
     assert [e.kind for e in plan.entries] == ["move_steps", "move_to", "stabilizer_on"]
 
 
 # ---------------------------------------------------------------- loading
 
 
-def test_load_empty_document():
-    with pytest.raises(PlanError):
-        load_plan("")
-    with pytest.raises(PlanError):
-        load_plan("   \n  ")
-
-
-def test_load_invalid_json_reports_position():
-    with pytest.raises(PlanError, match="line 1"):
-        load_plan("{nope")
-
-
-def test_load_rejects_json_beyond_parser_limits():
-    with pytest.raises(PlanError, match="invalid JSON"):
-        load_plan("[" * 100_000)
-    with pytest.raises(PlanError, match="invalid JSON"):
-        load_plan('{"task_kind": "push_chair", "entries": [{"kind": "move_steps", "steps": 1' + "0" * 5000 + "}]}")
+@pytest.mark.parametrize(
+    "data, error",
+    [
+        (b"", "invalid JSON at line 1, column 1: "),
+        (b"   \n  ", "invalid JSON at line 2, column 3: "),
+        (b"{nope", "invalid JSON at line 1, column 2: "),
+        (b"[" * 100_000, "invalid JSON: nested too deeply to parse"),
+        (b'{"task_kind": "push_chair", "entries": [{"kind": "move_steps", "steps": 1' + b"0" * 5000 + b"}]}",
+         "invalid JSON: "),
+    ],
+    ids=["empty", "blank", "syntax_error", "nested_too_deep", "overlong_integer"],
+)
+def test_read_json_names_the_plan_file_that_is_not_json(tmp_path, data, error):
+    path = tmp_path / "plan.json"
+    path.write_bytes(data)
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {error}')}") as excinfo:
+        read_json(path, parse_plan)
+    assert type(excinfo.value) is ValueError
 
 
 @pytest.mark.parametrize(
@@ -144,7 +144,7 @@ def test_load_rejects_json_beyond_parser_limits():
 )
 def test_load_rejects_documents_and_entries_of_the_wrong_shape(text, error):
     with pytest.raises(PlanError, match=re.escape(error)):
-        load_plan(text)
+        parse_plan(json.loads(text))
 
 
 def test_read_json_names_the_plan_file_of_a_bad_entry(tmp_path):
@@ -164,7 +164,7 @@ def test_load_duplicate_stabilizer_marker():
     ]}
     """
     with pytest.raises(PlanError, match="duplicate"):
-        load_plan(text)
+        parse_plan(json.loads(text))
 
 
 def test_load_unknown_selector_names_entry():
@@ -174,21 +174,21 @@ def test_load_unknown_selector_names_entry():
     ]}
     """
     with pytest.raises(PlanError, match="entry 0"):
-        load_plan(text)
+        parse_plan(json.loads(text))
 
 
 def test_load_unknown_slot_and_missing_steps():
     with pytest.raises(PlanError, match="unknown action slot"):
-        load_plan('{"task_kind": "push_chair", "entries": [{"kind": "move_steps", "label": "a", "action": {"px": 1}, "steps": 2}]}')
+        parse_plan(json.loads('{"task_kind": "push_chair", "entries": [{"kind": "move_steps", "label": "a", "action": {"px": 1}, "steps": 2}]}'))
     with pytest.raises(PlanError, match="steps"):
-        load_plan('{"task_kind": "push_chair", "entries": [{"kind": "move_steps", "label": "a"}]}')
+        parse_plan(json.loads('{"task_kind": "push_chair", "entries": [{"kind": "move_steps", "label": "a"}]}'))
 
 
 def test_load_rejects_unknown_entry_keys_and_kinds():
     with pytest.raises(PlanError, match="unknown keys"):
-        load_plan('{"task_kind": "push_chair", "entries": [{"kind": "move_steps", "label": "a", "steps": 2, "zoom": 1}]}')
+        parse_plan(json.loads('{"task_kind": "push_chair", "entries": [{"kind": "move_steps", "label": "a", "steps": 2, "zoom": 1}]}'))
     with pytest.raises(PlanError, match="unknown kind"):
-        load_plan('{"task_kind": "push_chair", "entries": [{"kind": "teleport", "label": "a"}]}')
+        parse_plan(json.loads('{"task_kind": "push_chair", "entries": [{"kind": "teleport", "label": "a"}]}'))
 
 
 @pytest.mark.parametrize(
@@ -204,7 +204,7 @@ def test_load_rejects_unknown_entry_keys_and_kinds():
 )
 def test_load_rejects_bad_schema_version(version, error):
     with pytest.raises(PlanError, match=error):
-        load_plan('{"schema_version": %s, "task_kind": "push_chair", "entries": []}' % version)
+        parse_plan(json.loads('{"schema_version": %s, "task_kind": "push_chair", "entries": []}' % version))
 
 
 def test_integer_and_float_plan_numbers_log_the_same_bytes():
@@ -215,7 +215,7 @@ def test_integer_and_float_plan_numbers_log_the_same_bytes():
         for entry in doc["entries"]:
             if entry["kind"] == "move_to":
                 entry["velocity"] = velocity
-        result = run_episode("open_cabinet_door", load_plan(json.dumps(doc)), None, seed=0)
+        result = run_episode("open_cabinet_door", parse_plan(doc), None, seed=0)
         logs.append(trajectory_lines(result, EnvConfig(), "plan.json"))
     assert logs[0] == logs[1]
 
@@ -224,6 +224,14 @@ def test_validate_rejects_bad_velocity_threshold_and_task():
     entry = {"kind": "move_to", "label": "x", "slot": "platform_x", "selector": "platform_x", "target": 1.0, "velocity": 2.0}
     with pytest.raises(PlanError, match="velocity"):
         parse_plan({"task_kind": "push_chair", "entries": [entry]})
+    # velocity lies in (0, 1] and threshold in (0, inf): 0 is out, the smallest float is in
+    for key in ("velocity", "threshold"):
+        edge = dict(entry, velocity=0.5)
+        edge[key] = 0
+        with pytest.raises(PlanError, match=key):
+            parse_plan({"task_kind": "push_chair", "entries": [edge]})
+        edge[key] = 5e-324
+        assert getattr(parse_plan({"task_kind": "push_chair", "entries": [edge]}).entries[0], key) == 5e-324
     entry = {"kind": "move_to", "label": "x", "slot": "platform_x", "selector": "platform_x", "target": 1.0, "threshold": -1.0}
     with pytest.raises(PlanError, match="threshold"):
         parse_plan({"task_kind": "push_chair", "entries": [entry]})
@@ -271,7 +279,7 @@ def test_load_rejects_mistyped_fields_and_goal_point_targets_without_goal(task_k
     doc = bundled_doc(task_kind)
     doc["entries"][index][key] = value
     with pytest.raises(PlanError, match=f"entry {index}"):
-        load_plan(json.dumps(doc))
+        parse_plan(doc)
 
 
 FUZZ_VALUES = ("5", "x", "", "target_x", "facing_yaw:target", "target_edge_x:nan", True, False, None,
@@ -292,7 +300,7 @@ def test_fuzzed_builtin_plans_fail_typed_or_run(task_kind):
         else:
             entry[key] = value
         try:
-            plan = load_plan(json.dumps(doc))
+            plan = parse_plan(doc)
         except PlanError:
             continue
         accepted += 1
@@ -351,7 +359,7 @@ def test_resolve_marker_and_defaults():
       {"kind": "stabilizer_on", "label": "hold_still"}
     ]}
     """
-    plan = load_plan(text)
+    plan = parse_plan(json.loads(text))
     spin, slide, marker = plan.entries
     assert spin.velocity == 0.5 and spin.threshold == 0.02  # rotation default
     assert slide.threshold == 0.01  # translation default
