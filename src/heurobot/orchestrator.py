@@ -15,10 +15,10 @@ inside a step, fails that episode with its ``error`` set; it never ends the
 batch. Each ``StepRecord`` keeps the observation its sub-task saw, so the
 step loop, the logs and replay share one immutable snapshot per step.
 
-``run_batch`` can hand each finished episode to a ``write`` callable in the
-process that ran it (a pool worker at ``jobs > 1``); the batch then keeps the
-results without their trajectories, so only seed, outcome, step count and
-error cross the process boundary.
+``run_batch`` keeps outcomes only: every result it returns has an empty
+``trajectory``, so no step record crosses the process boundary. A ``write``
+callable receives each full episode in the process that ran it (a pool
+worker at ``jobs > 1``); ``run_episode`` is the call that returns one.
 """
 
 from __future__ import annotations
@@ -109,9 +109,8 @@ def _episode_job(
     task_kind: str, plan: Plan, env_config: EnvConfig | None, write: Callable[[EpisodeResult], None] | None, seed: int
 ) -> EpisodeResult:
     result = run_episode(task_kind, plan, env_config, seed)
-    if write is None:
-        return result
-    write(result)
+    if write is not None:
+        write(result)
     return result._replace(trajectory=())
 
 
@@ -129,15 +128,13 @@ def run_batch(
     that is not an int (a bool is not), or a ``jobs`` below 1, raises
     ``ValueError``.
 
-    With ``write``, each episode is passed to it as soon as it ends, in the
-    process that ran it, and the batch keeps the result with an empty
-    ``trajectory``. ``write`` must be picklable when ``jobs > 1``; an error it
-    raises ends the batch. Without ``write`` at ``jobs > 1``, each result
-    crosses the process boundary with its whole trajectory, every step's
-    observation included (72,875 pickled bytes for the 94-step
-    ``move_bucket`` seed 3). At most ``len(seeds)`` workers are started, and
-    no more than ``os.cpu_count()``, since the pool forks all of them at the
-    first submit; a single worker runs in this process.
+    Each result keeps the outcome (seed, success, steps, error) with an empty
+    ``trajectory``; call ``run_episode`` for a seed's steps. ``write``, if
+    given, receives each full episode as soon as it ends, in the process that
+    ran it; it must be picklable when ``jobs > 1``, and an error it raises
+    ends the batch. At most ``len(seeds)`` workers are started, and no more
+    than ``os.cpu_count()``, since the pool forks all of them at the first
+    submit; a single worker runs in this process.
     """
     seeds = [check_seed(s) for s in seeds]
     if not seeds:

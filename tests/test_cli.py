@@ -33,13 +33,15 @@ def test_importing_the_cli_loads_no_process_pool():
 
 
 def test_importing_the_cli_loads_no_introspection_modules():
-    # dataclasses brings in inspect, ast and dis; the records are named tuples and slot classes
+    # dataclasses brings in inspect, ast and dis; the records are named tuples and slot classes.
+    # -S skips site, whose .pth hooks may import importlib.resources before the package does.
     env = dict(os.environ, PYTHONPATH=str(Path(heurobot.__file__).parents[1]))
     code = (
         "import sys; before = set(sys.modules); import heurobot.cli; "
-        "print(sorted({'dataclasses', 'inspect', 'ast', 'dis'} & (set(sys.modules) - before)))"
+        "banned = {'dataclasses', 'inspect', 'ast', 'dis', 'importlib.resources'}; "
+        "print(sorted(banned & (set(sys.modules) - before)))"
     )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, encoding="utf-8", env=env, check=True)
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, encoding="utf-8", env=env, check=True)
     assert proc.stdout == "[]\n"
 
 
@@ -143,12 +145,14 @@ def test_run_writes_the_in_process_bytes_with_newline_line_ends(tmp_path):
     assert b"\r" not in summary and summary.endswith(b"}\n")
 
 
-def test_spawned_workers_write_the_bytes_of_a_serial_run(tmp_path):
-    # under spawn each worker re-imports the package and unpickles the plan and the writer
+@pytest.mark.parametrize("method", ["spawn", "forkserver"])
+def test_spawned_workers_write_the_bytes_of_a_serial_run(tmp_path, method):
+    # under spawn and forkserver (the Linux default from CPython 3.14) each worker
+    # re-imports the package and unpickles the plan and the writer
     env = dict(os.environ, PYTHONPATH=str(Path(heurobot.__file__).parents[1]))
     code = (
         "import multiprocessing as mp, sys; from heurobot.cli import main; "
-        "mp.set_start_method('spawn'); sys.exit(main(sys.argv[1:]))"
+        f"mp.set_start_method({method!r}); sys.exit(main(sys.argv[1:]))"
     )
     for jobs in ("1", "2"):
         out = tmp_path / f"jobs{jobs}"

@@ -1,6 +1,8 @@
 import concurrent.futures
 import functools
+import hashlib
 import os
+import pickle
 from typing import NamedTuple
 
 import pytest
@@ -11,6 +13,7 @@ from heurobot.mockenv import EnvConfig, MockEnv
 from heurobot.orchestrator import replay_actions, run_batch, run_episode
 from heurobot.plans import Plan, PlanError, StabilizerOn, builtin_plan, parse_plan
 from heurobot.subtasks import MoveSteps, MoveTo
+from heurobot.trajlog import trajectory_lines
 
 
 def subtask_trace(result):
@@ -39,6 +42,13 @@ def record_pid(directory, result):
     """Test writer: appends the calling process id to one file per seed."""
     with open(directory / f"seed{result.seed}", "a", encoding="utf-8") as fh:
         fh.write(f"{os.getpid()}\n")
+
+
+def record_digest(directory, result):
+    """Test writer: appends the sha256 of the episode's log lines to one file per seed."""
+    digest = hashlib.sha256("\n".join(trajectory_lines(result, EnvConfig(), "builtin")).encode()).hexdigest()
+    with open(directory / f"seed{result.seed}", "a", encoding="utf-8") as fh:
+        fh.write(f"{digest}\n")
 
 
 def test_episode_stops_when_all_subtasks_finish():
@@ -204,10 +214,13 @@ def test_batch_of_unsolvable_episodes_has_zero_success_rate():
     assert batch.mean_steps == 5.0
 
 
-def test_batch_with_repeated_seed_is_ten_identical_results():
-    batch = run_batch("push_chair", builtin_plan("push_chair"), None, [9] * 10)
+def test_batch_with_repeated_seed_is_ten_identical_results(tmp_path):
+    write = functools.partial(record_digest, tmp_path)
+    batch = run_batch("push_chair", builtin_plan("push_chair"), None, [9] * 10, write=write)
     assert len(batch.results) == 10
     assert all(r == batch.results[0] for r in batch.results)
+    digests = (tmp_path / "seed9").read_text(encoding="utf-8").split()
+    assert len(digests) == 10 and len(set(digests)) == 1
 
 
 def test_batch_reports_sorted_by_seed():
@@ -264,11 +277,18 @@ def test_resolve_error_fails_its_episode_not_the_batch(monkeypatch):
     assert batch.success_rate == pytest.approx(2 / 3)
 
 
-def test_batch_parallel_matches_serial():
+def test_batch_parallel_matches_serial(tmp_path, monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # two workers even on a one-CPU host
     plan = builtin_plan("open_cabinet_door")
-    serial = run_batch("open_cabinet_door", plan, None, [1, 2, 3, 4])
-    parallel = run_batch("open_cabinet_door", plan, None, [1, 2, 3, 4], jobs=2)
-    assert serial == parallel
+    batches, digests = [], []
+    for jobs in (1, 2):
+        out = tmp_path / f"jobs{jobs}"
+        out.mkdir()
+        write = functools.partial(record_digest, out)
+        batches.append(run_batch("open_cabinet_door", plan, None, [1, 2, 3, 4], jobs=jobs, write=write))
+        digests.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert batches[0] == batches[1]
+    assert len(digests[0]) == 4 and digests[0] == digests[1]
 
 
 @pytest.fixture(scope="module")
@@ -303,21 +323,22 @@ def test_custom_env_config_flows_through():
     assert result.steps == 30
 
 
+@pytest.mark.parametrize("writer", [False, True], ids=["no_writer", "writer"])
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_batch_with_writer_keeps_results_without_trajectories(tmp_path, jobs):
+def test_batch_results_never_carry_trajectories(tmp_path, monkeypatch, jobs, writer):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # two workers even on a one-CPU host
     plan = builtin_plan("move_bucket")
-    full = run_batch("move_bucket", plan, None, [4, 1, 3])
-    kept = run_batch("move_bucket", plan, None, [4, 1, 3], jobs=jobs, write=functools.partial(record_pid, tmp_path))
-    assert all(r.trajectory for r in full.results)
-    assert kept == full._replace(results=tuple(r._replace(trajectory=()) for r in full.results))
+    write = functools.partial(record_pid, tmp_path) if writer else None
+    batch = run_batch("move_bucket", plan, None, [4, 1, 3], jobs=jobs, write=write)
+    assert batch.results == tuple(run_episode("move_bucket", plan, None, s)._replace(trajectory=()) for s in (1, 3, 4))
+    assert all(len(pickle.dumps(r)) < 512 for r in batch.results)
 
 
 def test_writer_receives_each_full_episode():
     plan = builtin_plan("open_cabinet_door")
     written = []
     run_batch("open_cabinet_door", plan, None, [2, 1], write=written.append)
-    assert [r.seed for r in written] == [2, 1]
-    assert sorted(written, key=lambda r: r.seed) == list(run_batch("open_cabinet_door", plan, None, [2, 1]).results)
+    assert written == [run_episode("open_cabinet_door", plan, None, s) for s in (2, 1)]
 
 
 def test_parallel_writer_runs_once_per_seed_and_never_in_the_parent(tmp_path, monkeypatch):
