@@ -1,15 +1,16 @@
 """Task solution scripts: ordered sub-task lists in a small JSON plan format.
 
 A plan document is a JSON object with a ``task_kind`` and an ``entries``
-list. Every entry carries ``kind`` and ``label``; the other fields each
-kind takes are listed in ``ENTRY_FIELDS``. Targets are either literal
+list. Every entry carries ``kind``, ``label`` and exactly the fields
+``ENTRY_FIELDS`` lists for its kind. Targets are either literal
 numbers or expressions from the closed vocabulary in ``TARGETS``,
 evaluated once against the first observation of an episode: later object
 motion never retargets a sub-task.
 
-``parse_plan`` checks a document once into frozen entries, defaults filled
-in. The ``MoveSteps`` and ``MoveTo`` entries are the sub-task controllers
-themselves; ``resolve`` only evaluates their targets for one episode.
+``parse_plan`` checks a document once into frozen entries; nothing is
+filled in. The ``MoveSteps`` and ``MoveTo`` entries are the sub-task
+controllers themselves; ``resolve`` only evaluates their targets for one
+episode.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from ..subtasks import JOINT_SELECTORS, SELECTORS, MoveSteps, MoveTo
 
 MARKER_KIND = "stabilizer_on"
 
-# entry kind -> fields it takes besides ``kind`` and ``label``, in document order
+# entry kind -> fields it requires besides ``kind`` and ``label``, in document order
 ENTRY_FIELDS = {
     "move_steps": ("action", "steps"),
     "move_to": ("slot", "selector", "target", "velocity", "threshold"),
@@ -41,12 +42,6 @@ ENTRY_FIELDS = {
 }
 
 PLAN_SCHEMA_VERSION = 1
-
-# convergence defaults when an entry does not pin its own values; a threshold
-# is chosen by slot but compared in the unit of the entry's selector
-DEFAULT_VELOCITY = 0.5
-DEFAULT_THRESHOLDS = {"platform_rotation": 0.02}
-DEFAULT_THRESHOLD = 0.01
 
 
 class PlanError(ValueError):
@@ -149,11 +144,12 @@ def parse_plan(doc: object) -> Plan:
     """Check a decoded plan document once and build its typed entries.
 
     Raises ``PlanError`` unless the document has no keys but
-    ``schema_version``, ``task_kind`` and ``entries``, and every entry uses
-    its kind's fields with the JSON types they need (numbers finite and not
-    bools, ``steps`` an integer >= 1), names slots and joints of the task's
-    robot and known selectors, and uses goal-point targets only on tasks that
-    have a goal point. Every number but ``steps`` is stored as a float.
+    ``schema_version``, ``task_kind`` and ``entries``, and every entry has
+    exactly its kind's fields, with the JSON types they need (numbers finite
+    and not bools, ``steps`` an integer >= 1), names slots and joints of the
+    task's robot and known selectors, and uses goal-point targets only on
+    tasks that have a goal point. Every number but ``steps`` is stored as a
+    float.
     """
     if not isinstance(doc, dict):
         raise PlanError("plan document must be a JSON object")
@@ -177,22 +173,24 @@ def parse_plan(doc: object) -> Plan:
     for i, obj in enumerate(entries_obj):
         if not isinstance(obj, dict):
             raise PlanError(f"entry {i}: expected an object, got {type(obj).__name__}")
-        kind = obj.get("kind")
-        label = obj.get("label", kind)
+        kind, label = obj.get("kind"), obj.get("label")
         where = f"entry {i} ({label!r})"
         if not isinstance(kind, str) or kind not in ENTRY_FIELDS:
             raise PlanError(f"{where}: unknown kind {kind!r}")
+        keys = {"kind", "label", *ENTRY_FIELDS[kind]}
+        unknown, missing = sorted(set(obj) - keys), sorted(keys - set(obj))
+        if unknown:
+            raise PlanError(f"{where}: unknown keys {unknown} for kind {kind!r}")
+        if missing:
+            raise PlanError(f"{where}: missing keys {missing} for kind {kind!r}")
         if not isinstance(label, str) or not label:
             raise PlanError(f"{where}: label must be a non-empty string")
-        stray = sorted(set(obj) - {"kind", "label", *ENTRY_FIELDS[kind]})
-        if stray:
-            raise PlanError(f"{where}: unknown keys {stray} for kind {kind!r}")
         if kind == MARKER_KIND:
             if any(e.kind == MARKER_KIND for e in entries):
                 raise PlanError(f"{where}: duplicate stabilizer_on marker")
             entries.append(StabilizerOn(label))
         elif kind == "move_steps":
-            steps, action = obj.get("steps"), obj.get("action", {})
+            steps, action = obj["steps"], obj["action"]
             if type(steps) is not int or steps < 1:
                 raise PlanError(f"{where}: move_steps requires integer steps >= 1, got {steps!r}")
             if not isinstance(action, dict):
@@ -204,7 +202,7 @@ def parse_plan(doc: object) -> Plan:
                     raise PlanError(f"{where}: action value for {name!r} must be a finite number, got {value!r}")
             entries.append(MoveSteps(label, steps, index_map.build(action)))
         else:
-            slot, selector, target = obj.get("slot"), obj.get("selector"), obj.get("target")
+            slot, selector, target = obj["slot"], obj["selector"], obj["target"]
             if slot not in index_map.slots:
                 raise PlanError(f"{where}: unknown action slot {slot!r}")
             if not isinstance(selector, str):
@@ -223,10 +221,9 @@ def parse_plan(doc: object) -> Plan:
                 raise PlanError(
                     f"{where}: target {target!r} needs a goal point; only move_bucket and push_chair have one"
                 )
-            velocity = obj.get("velocity", DEFAULT_VELOCITY)
+            velocity, threshold = obj["velocity"], obj["threshold"]
             if not (is_finite_number(velocity) and 0.0 < velocity <= 1.0):
                 raise PlanError(f"{where}: velocity must be a number in (0, 1], got {velocity!r}")
-            threshold = obj.get("threshold", DEFAULT_THRESHOLDS.get(slot, DEFAULT_THRESHOLD))
             if not (is_finite_number(threshold) and threshold > 0.0):
                 raise PlanError(f"{where}: threshold must be a positive finite number, got {threshold!r}")
             if rule is None:

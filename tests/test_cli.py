@@ -100,6 +100,18 @@ def test_run_rejects_plan_for_wrong_task(tmp_path, capsys):
     assert rc != 0
 
 
+def test_run_prints_the_readme_entry_error_example(tmp_path, monkeypatch, capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Plan documents", 1)[1]
+    doc = json.loads(re.search(r"```json\n(.*?)```", section, re.S).group(1))
+    del doc["entries"][1]["threshold"]  # "the example above without its `threshold`"
+    (tmp_path / "my_plan.json").write_text(json.dumps(doc), encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", "--task", doc["task_kind"], "--plan", "my_plan.json", "--seeds", "0", "--out", "o"]) == 2
+    example = re.search(r"an entry error is a `PlanError` such as `(error:\s[^`]*)`", section).group(1)
+    assert capsys.readouterr().err == " ".join(example.split()) + "\n"
+
+
 def test_run_accepts_plan_file(tmp_path):
     plan_path = Path(PLAN_DATA_DIR) / "push_chair.json"
     out = tmp_path / "o"
@@ -205,9 +217,9 @@ def test_worst_corner_config_logs_only_finite_numbers(tmp_path, task, plan):
         index_map = ActionIndexMap.for_robot(TASK_ROBOT[task])
         close = {index_map.slots[i]: 1.0 for i in index_map.finger_slots}
         doc = {"task_kind": task, "entries": [
-            {"kind": "stabilizer_on"},
-            {"kind": "move_steps", "action": close, "steps": 1},
-            {"kind": "move_steps", "action": dict.fromkeys(index_map.slots, 1.0), "steps": 499},
+            {"kind": "stabilizer_on", "label": "hold"},
+            {"kind": "move_steps", "label": "grasp", "action": close, "steps": 1},
+            {"kind": "move_steps", "label": "all_slots", "action": dict.fromkeys(index_map.slots, 1.0), "steps": 499},
         ]}
         plan_path = tmp_path / "plan.json"
         plan_path.write_text(json.dumps(doc), encoding="utf-8")

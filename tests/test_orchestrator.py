@@ -22,7 +22,8 @@ def subtask_trace(result):
 
 
 def idle_plan(task_kind="open_cabinet_door", steps=5):
-    return parse_plan({"task_kind": task_kind, "entries": [{"kind": "move_steps", "label": "idle", "steps": steps}]})
+    entry = {"kind": "move_steps", "label": "idle", "action": {}, "steps": steps}
+    return parse_plan({"task_kind": task_kind, "entries": [entry]})
 
 
 def hopeless_plan(task_kind="open_cabinet_door"):

@@ -170,10 +170,11 @@ def test_load_duplicate_stabilizer_marker():
 def test_load_unknown_selector_names_entry():
     text = """
     {"task_kind": "push_chair", "entries": [
-      {"kind": "move_to", "label": "x", "slot": "platform_x", "selector": "chakra", "target": 1.0}
+      {"kind": "move_to", "label": "x", "slot": "platform_x", "selector": "chakra", "target": 1.0,
+       "velocity": 0.5, "threshold": 0.01}
     ]}
     """
-    with pytest.raises(PlanError, match="entry 0"):
+    with pytest.raises(PlanError, match=r"^entry 0 \('x'\): unknown selector 'chakra'$"):
         parse_plan(json.loads(text))
 
 
@@ -182,6 +183,32 @@ def test_load_unknown_slot_and_missing_steps():
         parse_plan(json.loads('{"task_kind": "push_chair", "entries": [{"kind": "move_steps", "label": "a", "action": {"px": 1}, "steps": 2}]}'))
     with pytest.raises(PlanError, match="steps"):
         parse_plan(json.loads('{"task_kind": "push_chair", "entries": [{"kind": "move_steps", "label": "a"}]}'))
+
+
+@pytest.mark.parametrize("task_kind", TASK_KINDS)
+def test_bundled_entry_without_any_one_key_fails_naming_it(task_kind):
+    # nothing is filled in: every key of every entry is required
+    for i, entry in enumerate(bundled_doc(task_kind)["entries"]):
+        for key in sorted(entry):
+            doc = bundled_doc(task_kind)
+            del doc["entries"][i][key]
+            where = f"entry {i} ({None if key == 'label' else entry['label']!r})"
+            problem = "unknown kind None" if key == "kind" else f"missing keys [{key!r}] for kind {entry['kind']!r}"
+            message = f"{where}: {problem}"
+            with pytest.raises(PlanError, match=f"^{re.escape(message)}$"):
+                parse_plan(doc)
+
+
+@pytest.mark.parametrize("task_kind", TASK_KINDS)
+def test_bundled_move_to_steps_stay_inside_their_threshold_band(task_kind):
+    # MoveTo terminates only if one step cannot jump across the band: velocity * scale * dt < 2 * threshold
+    config = EnvConfig()
+    move_tos = [e for e in builtin_plan(task_kind).entries if isinstance(e, MoveTo)]
+    assert move_tos
+    for entry in move_tos:
+        rotation = entry.slot == "platform_rotation"
+        scale = config.angular_velocity_scale if rotation else config.linear_velocity_scale
+        assert entry.velocity * scale * config.dt < 2 * entry.threshold, entry.label
 
 
 def test_load_rejects_unknown_entry_keys_and_kinds():
@@ -221,7 +248,8 @@ def test_integer_and_float_plan_numbers_log_the_same_bytes():
 
 
 def test_validate_rejects_bad_velocity_threshold_and_task():
-    entry = {"kind": "move_to", "label": "x", "slot": "platform_x", "selector": "platform_x", "target": 1.0, "velocity": 2.0}
+    entry = {"kind": "move_to", "label": "x", "slot": "platform_x", "selector": "platform_x", "target": 1.0,
+             "velocity": 2.0, "threshold": 0.01}
     with pytest.raises(PlanError, match="velocity"):
         parse_plan({"task_kind": "push_chair", "entries": [entry]})
     # velocity lies in (0, 1] and threshold in (0, inf): 0 is out, the smallest float is in
@@ -232,7 +260,8 @@ def test_validate_rejects_bad_velocity_threshold_and_task():
             parse_plan({"task_kind": "push_chair", "entries": [edge]})
         edge[key] = 5e-324
         assert getattr(parse_plan({"task_kind": "push_chair", "entries": [edge]}).entries[0], key) == 5e-324
-    entry = {"kind": "move_to", "label": "x", "slot": "platform_x", "selector": "platform_x", "target": 1.0, "threshold": -1.0}
+    entry = {"kind": "move_to", "label": "x", "slot": "platform_x", "selector": "platform_x", "target": 1.0,
+             "velocity": 0.5, "threshold": -1.0}
     with pytest.raises(PlanError, match="threshold"):
         parse_plan({"task_kind": "push_chair", "entries": [entry]})
     with pytest.raises(PlanError, match="task kind"):
@@ -295,7 +324,10 @@ def test_fuzzed_builtin_plans_fail_typed_or_run(task_kind):
         entry = rng.choice(doc["entries"])
         key = rng.choice(sorted(entry))
         value = rng.choice(FUZZ_VALUES)
-        if key == "action" and rng.random() < 0.5:
+        roll = rng.random()
+        if roll < 0.2:
+            del entry[key]
+        elif key == "action" and roll < 0.6:
             entry["action"][rng.choice(sorted(entry["action"]))] = value
         else:
             entry[key] = value
@@ -351,18 +383,18 @@ def test_resolve_returns_one_target_per_entry():
         assert target is None or math.isfinite(target)
 
 
-def test_resolve_marker_and_defaults():
+def test_resolve_marker_and_literal_targets():
     text = """
     {"task_kind": "push_chair", "entries": [
-      {"kind": "move_to", "label": "spin", "slot": "platform_rotation", "selector": "platform_yaw", "target": 0.5},
-      {"kind": "move_to", "label": "slide", "slot": "platform_y", "selector": "platform_y", "target": 0.5},
+      {"kind": "move_to", "label": "spin", "slot": "platform_rotation", "selector": "platform_yaw", "target": 0.5,
+       "velocity": 0.3, "threshold": 0.02},
+      {"kind": "move_to", "label": "slide", "slot": "platform_y", "selector": "platform_y", "target": 0.5,
+       "velocity": 0.3, "threshold": 0.01},
       {"kind": "stabilizer_on", "label": "hold_still"}
     ]}
     """
     plan = parse_plan(json.loads(text))
-    spin, slide, marker = plan.entries
-    assert spin.velocity == 0.5 and spin.threshold == 0.02  # rotation default
-    assert slide.threshold == 0.01  # translation default
+    marker = plan.entries[2]
     assert isinstance(marker, StabilizerOn) and marker.label == "hold_still"
     assert resolve(plan, make_obs(obj=chair_attributes())) == [0.5, 0.5, None]
 
