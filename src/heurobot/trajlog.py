@@ -5,24 +5,34 @@ record per environment step. Keys are sorted and floats keep their shortest
 round-trip repr, and both writers emit UTF-8 with ``\n`` line ends on every
 platform, so identical episodes produce byte-identical files and
 determinism checks can diff them directly.
+
+Consecutive records repeat most fields (a sub-task's action, the parts of
+the observation that did not move), so each record is built from field texts
+memoised per episode. A record line is byte-equal to
+``json.dumps(record, sort_keys=True, separators=(",", ":"))``;
+``tests/test_trajlog.py`` pins this.
 """
 
 from __future__ import annotations
 
 import json
+import marshal
 
 from .core import is_finite_number, loads_json, read_json
 from .mockenv import EnvConfig
 from .orchestrator import BatchResult, EpisodeResult
 
 SCHEMA_VERSION = 1
-
-
-def _dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 def trajectory_lines(result: EpisodeResult, config: EnvConfig, plan_source: str) -> list[str]:
+    """The header line and one line per step, each without its ``\\n``.
+
+    A record is assembled in sorted-key order from its field texts. The memo
+    of those texts is keyed on ``marshal.dumps(value, 2)``, not on the value:
+    ``0.0 == -0.0`` and ``1 == 1.0 == True``, but their JSON texts differ.
+    """
     header = {
         "schema_version": SCHEMA_VERSION,
         "kind": "trajectory",
@@ -34,33 +44,36 @@ def trajectory_lines(result: EpisodeResult, config: EnvConfig, plan_source: str)
         "steps": result.steps,
         "error": result.error,
     }
-    lines = [_dumps(header)]
+    texts: dict[bytes, str] = {}
+
+    def text(value) -> str:
+        try:
+            key = marshal.dumps(value, 2)
+        except ValueError:  # not a marshal type, e.g. a tuple subclass
+            return _encode(value)
+        out = texts.get(key)
+        if out is None:
+            out = texts[key] = _encode(value)
+        return out
+
+    lines = [_encode(header)]
     for rec in result.trajectory:
         robot, obj = rec.obs.robot, rec.obs.object
+        platform = (robot.platform_x, robot.platform_y, robot.platform_height, robot.platform_yaw)
         lines.append(
-            _dumps(
-                {
-                    "step": rec.obs.step_index,
-                    "label": rec.label,
-                    "subtask": rec.subtask_index,
-                    "action": rec.action,
-                    "main": rec.main_action,
-                    "stabilizer": rec.stabilizer_action,
-                    "platform": [robot.platform_x, robot.platform_y, robot.platform_height, robot.platform_yaw],
-                    "joints": robot.arm_joints,
-                    "object": obj.object_pose,
-                    "handle": obj.handle_position,
-                    "articulation": obj.articulation_value,
-                }
-            )
+            f'{{"action":{text(rec.action)},"articulation":{text(obj.articulation_value)},'
+            f'"handle":{text(obj.handle_position)},"joints":{text(robot.arm_joints)},'
+            f'"label":{text(rec.label)},"main":{text(rec.main_action)},"object":{text(obj.object_pose)},'
+            f'"platform":{text(platform)},"stabilizer":{text(rec.stabilizer_action)},'
+            f'"step":{text(rec.obs.step_index)},"subtask":{text(rec.subtask_index)}}}'
         )
     return lines
 
 
 def write_trajectory(path, result: EpisodeResult, config: EnvConfig, plan_source: str) -> None:
+    text = "\n".join(trajectory_lines(result, config, plan_source)) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for line in trajectory_lines(result, config, plan_source):
-            fh.write(line + "\n")
+        fh.write(text)
 
 
 def _is_schema(doc: object, kind: str) -> bool:
