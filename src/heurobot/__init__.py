@@ -5,7 +5,6 @@ from .core import (
     ActionIndexMap,
     Observation,
     ObjectAttributes,
-    RobotConfig,
     RobotState,
     TASK_KINDS,
     add,
@@ -31,7 +30,6 @@ __all__ = [
     "ObjectAttributes",
     "Plan",
     "PlanError",
-    "RobotConfig",
     "RobotState",
     "TASK_KINDS",
     "add",

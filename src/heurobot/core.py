@@ -19,7 +19,6 @@ task pins their invariants (which fields are present for which object kind).
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import operator
@@ -107,90 +106,46 @@ def wrap_angle(angle: float) -> float:
     return wrapped
 
 
-class CheckedRecord:
-    """Base of a named-tuple record whose ``__new__`` checks its fields.
-
-    ``NamedTuple._make``, and ``_replace`` through it, build the tuple
-    without calling ``__new__``; here they go through the constructor, so
-    every copy is checked. Pickle and ``copy`` already call ``__new__``.
-    """
-
-    __slots__ = ()
-
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)
-
-
 # Grasp-ready arm pose, one angle (rad) per joint: the planar links are solved so the
 # fingertip sits 0.35 m ahead of the platform center and 0.15 m above platform height.
 READY_POSE = (0.0, 1.21191, -1.71442, 0.0, -0.35, 0.0, 0.25, 0.0)
 
 
-class _RobotConfigFields(NamedTuple):
-    arms: tuple[str, ...] = ("left",)
-
-
-class RobotConfig(CheckedRecord, _RobotConfigFields):
-    """Degree-of-freedom layout of a mobile manipulator.
-
-    ``arms`` is ``("left",)`` or ``("left", "right")``: joint selectors read
-    the left arm at index 0 and the right arm at index 1, and slot names
-    must be distinct.
-    """
-
-    __slots__ = ()
-    joints_per_arm = len(READY_POSE)  # every arm's joint count: a class constant, not a field
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if self.arms not in (("left",), ("left", "right")):
-            raise ValueError(f"invalid arm set {self.arms!r}; expected ('left',) or ('left', 'right')")
-        return self
-
-
-SINGLE_ARM = RobotConfig(arms=("left",))
-DUAL_ARM = RobotConfig(arms=("left", "right"))
-
-# task kind -> robot configuration (dual-arm tasks hold the object with two arms)
-TASK_ROBOT = {
-    "open_cabinet_door": SINGLE_ARM,
-    "open_cabinet_drawer": SINGLE_ARM,
-    "move_bucket": DUAL_ARM,
-    "push_chair": DUAL_ARM,
-}
-
-
 class ActionIndexMap:
     """Bijection between named command slots and action vector indices.
 
-    Slot names: the four platform slots, then per arm ``<arm>_arm_joint_<j>``
-    followed by ``<arm>_fingers`` (positive = close, negative = open).
-    ``joint_slots`` holds each arm's joint slot indices and
-    ``finger_slots`` each arm's finger slot index. ``for_robot`` builds each
-    robot's map once and hands out that same object on every call.
+    ``arms`` is ``("left",)`` or ``("left", "right")``: joint selectors read
+    the left arm at index 0 and the right arm at index 1, and slot names
+    must be distinct. Slot names: the four platform slots, then per arm
+    ``<arm>_arm_joint_<j>`` followed by ``<arm>_fingers`` (positive = close,
+    negative = open). ``joint_slots`` holds each arm's joint slot indices and
+    ``finger_slots`` each arm's finger slot index. The stack uses only the
+    two prebuilt maps ``SINGLE_ARM`` and ``DUAL_ARM``.
     """
 
-    __slots__ = ("robot", "slots", "joint_slots", "finger_slots", "_index")
+    __slots__ = ("arms", "slots", "joint_slots", "finger_slots", "_index")
+    joints_per_arm = len(READY_POSE)  # every arm's joint count: a class constant, not a setting
 
-    def __init__(self, robot: RobotConfig) -> None:
+    def __init__(self, arms: tuple[str, ...]) -> None:
+        if arms not in (("left",), ("left", "right")):
+            raise ValueError(f"invalid arm set {arms!r}; expected ('left',) or ('left', 'right')")
         names = list(PLATFORM_SLOTS)
         joint_slots, finger_slots = [], []
-        for arm in robot.arms:
-            joint_slots.append(tuple(range(len(names), len(names) + robot.joints_per_arm)))
-            names.extend(f"{arm}_arm_joint_{j}" for j in range(robot.joints_per_arm))
+        for arm in arms:
+            joint_slots.append(tuple(range(len(names), len(names) + self.joints_per_arm)))
+            names.extend(f"{arm}_arm_joint_{j}" for j in range(self.joints_per_arm))
             finger_slots.append(len(names))
             names.append(f"{arm}_fingers")
-        self.robot = robot
+        self.arms = arms
         self.slots = tuple(names)
         self.joint_slots = tuple(joint_slots)
         self.finger_slots = tuple(finger_slots)
         self._index = {name: i for i, name in enumerate(names)}
 
-    @classmethod
-    @functools.cache
-    def for_robot(cls, robot: RobotConfig) -> "ActionIndexMap":
-        return cls(robot)
+    @property
+    def robot(self) -> "ActionIndexMap":
+        # bench/tracer.py reads ``index_map.robot`` until ROADMAP item 3 updates the tracer
+        return self
 
     @property
     def dim(self) -> int:
@@ -208,6 +163,18 @@ class ActionIndexMap:
         for name, value in assignments.items():
             out[self.index_of(name)] = float(value)
         return tuple(out)
+
+
+SINGLE_ARM = ActionIndexMap(("left",))
+DUAL_ARM = ActionIndexMap(("left", "right"))
+
+# task kind -> action layout (dual-arm tasks hold the object with two arms)
+TASK_ACTIONS = {
+    "open_cabinet_door": SINGLE_ARM,
+    "open_cabinet_drawer": SINGLE_ARM,
+    "move_bucket": DUAL_ARM,
+    "push_chair": DUAL_ARM,
+}
 
 
 def midpoint(points: tuple[Point3, ...]) -> Point3:

@@ -22,11 +22,9 @@ from .core import (
     ARTICULATED_OBJECTS,
     GOAL_POINT_OBJECTS,
     READY_POSE,
+    TASK_ACTIONS,
     TASK_OBJECT,
-    TASK_ROBOT,
     Action,
-    ActionIndexMap,
-    CheckedRecord,
     ObjectAttributes,
     Observation,
     Point3,
@@ -101,7 +99,7 @@ class _EnvConfigFields(NamedTuple):
     rng_seed: int = 0
 
 
-class EnvConfig(CheckedRecord, _EnvConfigFields):
+class EnvConfig(_EnvConfigFields):
     """Tunables of the mock environment; defaults are the reference setup.
 
     Every config lies in one envelope: ``max_steps`` is an integer in
@@ -129,6 +127,10 @@ class EnvConfig(CheckedRecord, _EnvConfigFields):
             elif type(value) not in (int, float) or not 0 < value <= FIELD_MAX:
                 raise ValueError(f"{name} must be a number in (0, {FIELD_MAX}], got {_shown(value)}")
         return self
+
+    @classmethod
+    def _make(cls, iterable):  # NamedTuple's _make, and _replace through it, would otherwise skip __new__
+        return cls(*iterable)
 
     @classmethod
     def from_mapping(cls, data: dict) -> "EnvConfig":
@@ -299,8 +301,8 @@ class MockEnv:
             raise ValueError(f"unknown task kind {task_kind!r}")
         self.object_kind = TASK_OBJECT[task_kind]
         self.config = config if config is not None else EnvConfig()
-        self.robot_config = TASK_ROBOT[task_kind]
-        self.index_map = ActionIndexMap.for_robot(self.robot_config)
+        self.index_map = TASK_ACTIONS[task_kind]
+        self.robot_config = self.index_map  # bench/tracer.py reads it until ROADMAP item 3 updates the tracer
         self.state: EnvState | None = None
 
     # ------------------------------------------------------------- reset
@@ -311,7 +313,7 @@ class MockEnv:
         cfg = self.config
         layout = _sample_layout(self.object_kind, random.Random(f"{cfg.rng_seed}:{seed}:layout"))
         noise_rng = random.Random(f"{cfg.rng_seed}:{seed}:noise")
-        self.state = EnvState(layout, noise_rng, len(self.robot_config.arms))
+        self.state = EnvState(layout, noise_rng, len(self.index_map.arms))
         return self._observation(), False
 
     # ------------------------------------------------------------- step

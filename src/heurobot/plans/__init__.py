@@ -21,10 +21,9 @@ from typing import Callable, NamedTuple
 
 from ..core import (
     GOAL_POINT_OBJECTS,
+    TASK_ACTIONS,
     TASK_KINDS,
     TASK_OBJECT,
-    TASK_ROBOT,
-    ActionIndexMap,
     Observation,
     is_finite_number,
     read_json,
@@ -167,7 +166,7 @@ def parse_plan(doc: object) -> Plan:
         raise PlanError(f"unknown task kind {task_kind!r}")
     if not entries_obj:
         raise PlanError("plan has no entries")
-    index_map = ActionIndexMap.for_robot(TASK_ROBOT[task_kind])
+    index_map = TASK_ACTIONS[task_kind]
     has_goal_point = TASK_OBJECT[task_kind] in GOAL_POINT_OBJECTS
     entries: list[PlanEntry] = []
     for i, obj in enumerate(entries_obj):

@@ -28,12 +28,10 @@ def _arm_joint(arm: int, joint: int) -> Selector:
     return lambda obs: obs.robot.arm_joints[arm][joint]
 
 
-_DUAL_ARM_MAP = ActionIndexMap.for_robot(DUAL_ARM)
-
 # Joint selectors are named as the dual-arm joint slots; a task's robot may lack some of them.
 JOINT_SELECTORS: dict[str, Selector] = {
-    _DUAL_ARM_MAP.slots[slot]: _arm_joint(arm, joint)
-    for arm, slots in enumerate(_DUAL_ARM_MAP.joint_slots)
+    DUAL_ARM.slots[slot]: _arm_joint(arm, joint)
+    for arm, slots in enumerate(DUAL_ARM.joint_slots)
     for joint, slot in enumerate(slots)
 }
 
@@ -115,13 +113,12 @@ class ArmStabilizer:
     __slots__ = ("index_map", "steps_taken", "_joints", "_settled")
 
     def __init__(self, index_map: ActionIndexMap, reference: tuple[tuple[float, ...], ...]) -> None:
-        robot = index_map.robot
-        if len(reference) != len(robot.arms):
+        if len(reference) != len(index_map.arms):
             raise ValueError("stabilizer reference must provide a pose for every arm")
         for arm, pose in enumerate(reference):
-            if len(pose) != robot.joints_per_arm:
+            if len(pose) != index_map.joints_per_arm:
                 raise ValueError(
-                    f"reference pose for arm {arm} has {len(pose)} joints, expected {robot.joints_per_arm}"
+                    f"reference pose for arm {arm} has {len(pose)} joints, expected {index_map.joints_per_arm}"
                 )
         self.index_map = index_map
         self.steps_taken = 0

@@ -32,5 +32,7 @@ def test_traced_episodes_clamp_once_per_env_step(monkeypatch):
     assert values["mockenv.step.calls"] > 0
     assert values["core.clamp.calls"] == values["mockenv.step.calls"]
     assert values["subtasks.move_to.calls"] > 0
+    assert values["subtasks.stabilizer.calls"] > 0
+    assert values["mockenv.noise_draws"] > 0
     assert tracer.stats["subtasks.move_steps"][0] > 0
     assert tracer.stats["plans.resolve"][0] == len(TASK_KINDS)

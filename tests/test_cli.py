@@ -12,7 +12,7 @@ import pytest
 import heurobot
 
 from heurobot.cli import MAX_SEEDS, main, parse_seeds
-from heurobot.core import TASK_KINDS, TASK_ROBOT, ActionIndexMap
+from heurobot.core import TASK_ACTIONS, TASK_KINDS
 from heurobot.mockenv import FIELD_MAX, EnvConfig
 from heurobot.orchestrator import run_episode
 from heurobot.plans import PLAN_DATA_DIR, builtin_plan
@@ -214,7 +214,7 @@ def test_worst_corner_config_logs_only_finite_numbers(tmp_path, task, plan):
     argv = ["run", "--task", task, "--seeds", "0..1", "--config", str(config_path), "--out", str(tmp_path / "o"),
             "--quiet"]
     if plan == "full_throttle":  # grasp at step 0, then every slot at +1 with the stabilizer on: carry and noise
-        index_map = ActionIndexMap.for_robot(TASK_ROBOT[task])
+        index_map = TASK_ACTIONS[task]
         close = {index_map.slots[i]: 1.0 for i in index_map.finger_slots}
         doc = {"task_kind": task, "entries": [
             {"kind": "stabilizer_on", "label": "hold"},

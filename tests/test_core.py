@@ -1,16 +1,17 @@
 import math
-import pickle
 import random
 
 import pytest
 
+import heurobot
 from heurobot.core import (
     DUAL_ARM,
     READY_POSE,
     SINGLE_ARM,
+    TASK_ACTIONS,
+    TASK_KINDS,
     ActionIndexMap,
     ObjectAttributes,
-    RobotConfig,
     add,
     clamp,
     midpoint,
@@ -19,6 +20,8 @@ from heurobot.core import (
 )
 from heurobot.mockenv import MockEnv
 from heurobot.orchestrator import EpisodeResult
+from heurobot.plans import builtin_plan
+from heurobot.subtasks import MoveSteps, MoveTo
 
 
 def test_clamp_saturates_componentwise():
@@ -115,26 +118,30 @@ def test_wrap_angle_range_and_identity():
         assert math.sin(w) == pytest.approx(math.sin(a), abs=1e-9)
 
 
-def test_action_dims_for_robot_configs():
-    assert ActionIndexMap.for_robot(SINGLE_ARM).dim == 13
-    assert ActionIndexMap.for_robot(DUAL_ARM).dim == 22
+def test_action_dims_for_each_layout():
+    assert SINGLE_ARM.dim == 13
+    assert DUAL_ARM.dim == 22
 
 
-def test_robot_config_validation():
+def test_index_map_arm_set_validation():
     with pytest.raises(ValueError):
-        RobotConfig(arms=())
+        ActionIndexMap(())
     with pytest.raises(ValueError):
-        RobotConfig(arms=("middle",))
+        ActionIndexMap(("middle",))
     # the joint count is a class constant, not a setting
     with pytest.raises(TypeError):
-        RobotConfig(joints_per_arm=2)
+        ActionIndexMap(joints_per_arm=2)
 
 
 def test_every_arm_has_one_joint_per_ready_pose_value():
-    assert RobotConfig._fields == ("arms",)
     assert SINGLE_ARM.joints_per_arm == DUAL_ARM.joints_per_arm == len(READY_POSE) == 8
-    for robot in (SINGLE_ARM, DUAL_ARM):
-        assert all(len(slots) == len(READY_POSE) for slots in ActionIndexMap.for_robot(robot).joint_slots)
+    for m in (SINGLE_ARM, DUAL_ARM):
+        assert all(len(slots) == len(READY_POSE) for slots in m.joint_slots)
+
+
+def test_every_export_resolves():
+    # a name left in __all__ after its definition is deleted fails here, not at a user's star import
+    assert [name for name in heurobot.__all__ if not hasattr(heurobot, name)] == []
 
 
 def test_records_carry_no_unread_fields():
@@ -147,41 +154,33 @@ def test_records_carry_no_unread_fields():
     [("left", "left"), ("right",), ("right", "left"), ("left", "right", "right")],
     ids=["left_left", "right_only", "right_left", "left_right_right"],
 )
-def test_robot_config_rejects_arm_sets_the_stack_cannot_serve(arms):
+def test_index_map_rejects_arm_sets_the_stack_cannot_serve(arms):
     # duplicate arms would share slot names; a lone right arm would be read at index 1
     with pytest.raises(ValueError, match="invalid arm set"):
-        RobotConfig(arms=arms)
+        ActionIndexMap(arms)
 
 
-def test_robot_config_copies_are_checked_too():
-    # a named tuple's _replace and _make skip __new__ unless routed through it
-    with pytest.raises(ValueError, match="invalid arm set"):
-        DUAL_ARM._replace(arms=("right", "left"))
-    with pytest.raises(ValueError, match="invalid arm set"):
-        RobotConfig._make([("left", "left")])
-    assert pickle.loads(pickle.dumps(DUAL_ARM)) == DUAL_ARM
-
-
-@pytest.mark.parametrize("config", [SINGLE_ARM, DUAL_ARM])
-def test_index_map_is_a_bijection(config):
-    m = ActionIndexMap.for_robot(config)
-    assert m.dim == {SINGLE_ARM: 13, DUAL_ARM: 22}[config]
+@pytest.mark.parametrize("m", [SINGLE_ARM, DUAL_ARM], ids=["one_arm", "two_arms"])
+def test_index_map_is_a_bijection(m):
     assert sorted(m.index_of(name) for name in m.slots) == list(range(m.dim))
     for name in m.slots:
         assert m.slots[m.index_of(name)] == name
 
 
-def test_each_robot_has_one_index_map():
-    assert ActionIndexMap.for_robot(DUAL_ARM) is ActionIndexMap.for_robot(DUAL_ARM)
-    assert ActionIndexMap.for_robot(RobotConfig(arms=("left", "right"))) is ActionIndexMap.for_robot(DUAL_ARM)
-    assert ActionIndexMap.for_robot(SINGLE_ARM) is not ActionIndexMap.for_robot(DUAL_ARM)
-    assert MockEnv("move_bucket").index_map is MockEnv("move_bucket").index_map
+@pytest.mark.parametrize("task", TASK_KINDS)
+def test_each_task_has_one_index_map(task):
+    # the env, the plan parser and the stabilizer all act in the task's one prebuilt layout
+    m = TASK_ACTIONS[task]
+    assert MockEnv(task).index_map is m
+    entries = builtin_plan(task).entries
+    assert all(e.dim == m.dim for e in entries if isinstance(e, MoveTo))
+    assert all(len(e.vector) == m.dim for e in entries if isinstance(e, MoveSteps))
 
 
 def test_index_map_arm_slots():
-    single = ActionIndexMap.for_robot(SINGLE_ARM)
+    single = SINGLE_ARM
     assert not any("right" in s for s in single.slots)
-    dual = ActionIndexMap.for_robot(DUAL_ARM)
+    dual = DUAL_ARM
     assert dual.finger_slots == (12, 21)
     assert dual.joint_slots[1][0] == 13
     with pytest.raises(KeyError):
@@ -189,7 +188,7 @@ def test_index_map_arm_slots():
 
 
 def test_index_map_build():
-    m = ActionIndexMap.for_robot(SINGLE_ARM)
+    m = SINGLE_ARM
     act = m.build({"platform_x": -0.3, "left_fingers": 0.6})
     assert act[m.index_of("platform_x")] == -0.3
     assert act[m.index_of("left_fingers")] == 0.6

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from heurobot.core import DUAL_ARM, READY_POSE, SINGLE_ARM, ActionIndexMap, midpoint
+from heurobot.core import DUAL_ARM, READY_POSE, SINGLE_ARM, midpoint
 from heurobot.subtasks import SELECTORS, STABILIZER_GAIN, ArmStabilizer, MoveSteps, MoveTo
 
 from helpers import make_obs, robot_state
@@ -196,17 +196,13 @@ def test_arm_joint_selector_names():
 
 
 def test_joint_selectors_are_the_dual_arm_joint_slots():
-    m = ActionIndexMap.for_robot(DUAL_ARM)
+    m = DUAL_ARM
     joint_slot_names = {m.slots[i] for arm in m.joint_slots for i in arm}
     assert {name for name in SELECTORS if "_arm_joint_" in name} == joint_slot_names
     assert len(joint_slot_names) == 16
 
 
 # -------------------------------------------------------------- stabilizer
-
-
-def one_arm_map():
-    return ActionIndexMap.for_robot(SINGLE_ARM)
 
 
 def pose(*angles):
@@ -219,7 +215,7 @@ def obs_for_joints(joints):
 
 
 def test_stabilizer_init_builds_one_corrector_per_joint():
-    m = one_arm_map()
+    m = SINGLE_ARM
     stab = ArmStabilizer(m, (pose(0.1, -0.3),))
     j0, j1 = m.joint_slots[0][0], m.joint_slots[0][1]
     # one channel per joint, each pushing toward its own reference angle
@@ -234,7 +230,7 @@ def test_stabilizer_init_builds_one_corrector_per_joint():
 
 
 def test_stabilizer_rejects_empty_or_mismatched_reference():
-    m = one_arm_map()
+    m = SINGLE_ARM
     with pytest.raises(ValueError):
         ArmStabilizer(m, ())
     with pytest.raises(ValueError):
@@ -246,7 +242,7 @@ def test_stabilizer_rejects_empty_or_mismatched_reference():
 
 
 def test_stabilizer_at_reference_fires_once_then_goes_quiet():
-    m = one_arm_map()
+    m = SINGLE_ARM
     stab = ArmStabilizer(m, (pose(0.1, -0.3),))
     obs = obs_for_joints((pose(0.1, -0.3),))
     first = stab.step(obs)
@@ -258,7 +254,7 @@ def test_stabilizer_at_reference_fires_once_then_goes_quiet():
 
 
 def test_stabilizer_corrects_displaced_joint_toward_reference():
-    m = one_arm_map()
+    m = SINGLE_ARM
     stab = ArmStabilizer(m, (pose(),))
     obs = obs_for_joints((pose(0.5),))
     out = stab.step(obs)
@@ -269,7 +265,7 @@ def test_stabilizer_corrects_displaced_joint_toward_reference():
 
 
 def test_stabilizer_rearms_after_convergence():
-    m = one_arm_map()
+    m = SINGLE_ARM
     stab = ArmStabilizer(m, (pose(),))
     settled = obs_for_joints((pose(),))
     stab.step(settled)
@@ -280,7 +276,7 @@ def test_stabilizer_rearms_after_convergence():
 
 
 def test_stabilizer_gain_decays_geometrically_with_floor():
-    m = one_arm_map()
+    m = SINGLE_ARM
     stab = ArmStabilizer(m, (pose(),))
     obs = obs_for_joints((pose(1.0, 1.0),))
     gains = [abs(stab.step(obs)[m.joint_slots[0][0]]) for _ in range(470)]
@@ -289,7 +285,7 @@ def test_stabilizer_gain_decays_geometrically_with_floor():
 
 
 def test_stabilizer_dual_arm_reference():
-    m = ActionIndexMap.for_robot(DUAL_ARM)
+    m = DUAL_ARM
     stab = ArmStabilizer(m, (pose(), pose(0.1, 0.1)))
     obs = obs_for_joints((pose(), pose(0.1, 0.1)))
     first = stab.step(obs)
@@ -301,7 +297,7 @@ def test_stabilizer_dual_arm_reference():
 
 
 def test_stabilizer_nan_joint_emits_minus_gain_and_never_settles():
-    m = one_arm_map()
+    m = SINGLE_ARM
     stab = ArmStabilizer(m, (pose(),))
     obs = obs_for_joints((pose(0.0, math.nan),))
     nan_slot = m.joint_slots[0][1]
@@ -333,7 +329,7 @@ class CorrectorBankOracle:
             )
             for arm, pose in enumerate(reference)
             for joint, angle in enumerate(pose)
-            for slot in [f"{index_map.robot.arms[arm]}_arm_joint_{joint}"]
+            for slot in [f"{index_map.arms[arm]}_arm_joint_{joint}"]
         ]
         self.done = [False] * len(self.correctors)
 
@@ -350,15 +346,14 @@ class CorrectorBankOracle:
         return tuple(out)
 
 
-@pytest.mark.parametrize("robot", [SINGLE_ARM, DUAL_ARM], ids=["one_arm", "two_arms"])
-def test_stabilizer_matches_corrector_bank_oracle(robot):
-    m = ActionIndexMap.for_robot(robot)
-    rng = random.Random(f"{len(robot.arms)}:0.995")
-    reference = tuple(tuple(rng.uniform(-1.5, 1.5) for _ in range(robot.joints_per_arm)) for _ in robot.arms)
+@pytest.mark.parametrize("m", [SINGLE_ARM, DUAL_ARM], ids=["one_arm", "two_arms"])
+def test_stabilizer_matches_corrector_bank_oracle(m):
+    rng = random.Random(f"{len(m.arms)}:0.995")
+    reference = tuple(tuple(rng.uniform(-1.5, 1.5) for _ in range(m.joints_per_arm)) for _ in m.arms)
     stab = ArmStabilizer(m, reference)
     oracle = CorrectorBankOracle(m, reference)
     joints = [[q + rng.uniform(-0.05, 0.05) for q in pose] for pose in reference]
-    slots = [m.joint_slots[arm] for arm in range(len(robot.arms))]
+    slots = [m.joint_slots[arm] for arm in range(len(m.arms))]
     joint_slots = [i for arm in slots for i in arm]
     previous = None
     settles = rearms = 0
