@@ -7,9 +7,9 @@ reports done: each step it produces one action, the stabilizer
 contribution (once its marker has been passed) is added, the sum is
 clamped and handed to the environment; this is the only place an action
 is saturated. Episodes stop on task success, on the step cap, or when every
-entry has finished. The entries keep no state: the outer loop holds the
-targets ``resolve`` evaluated, the inner loop the steps its entry has taken
-and whether it has finished.
+entry has finished. No controller keeps state: the outer loop holds the
+targets ``resolve`` evaluated, the inner loop the steps its entry has taken,
+and the records the previous observation the stabilizer reads.
 A plan that cannot be resolved against the first observation, or an error
 inside a step, fails that episode with its ``error`` set; it never ends the
 batch. Each ``StepRecord`` keeps the observation its sub-task saw, so the
@@ -79,13 +79,13 @@ def run_episode(task_kind: str, plan: Plan, env_config: EnvConfig | None = None,
         if done or error is not None:
             break
         if isinstance(entry, StabilizerOn):  # a plan has at most one
-            stabilizer = ArmStabilizer(env.index_map, obs.robot.arm_joints)
+            stabilizer = ArmStabilizer(env.index_map, obs)
             continue
         taken, finished = 0, False
         while not (finished or done):
             try:
                 main, finished = entry.step(obs, target, taken)
-                stab = stabilizer.step(obs) if stabilizer is not None else zeros
+                stab = stabilizer.step(obs, records[-1].obs if records else obs) if stabilizer is not None else zeros
                 final = clamp(add(main, stab))
                 record = StepRecord(entry.label, idx, final, main, stab, obs)
                 obs, done = env.step(final)

@@ -7,8 +7,8 @@ drops below a threshold. Each is a frozen plan entry, built once by
 ``parse_plan``; its ``step`` keeps no state, because the episode runner
 passes in the evaluated target and the steps the entry has taken so far.
 The arm stabilizer applies the same bang-bang rule to every arm joint at
-once and keeps a per-joint settled mask, so a joint that drifts back out of
-its band re-arms.
+once and keeps no state either: a joint inside its band on the previous
+observation and the current one is silent, and re-arms once it drifts out.
 
 Both primitives deliberately emit before they evaluate their done flag, so
 even an already-converged controller produces exactly one action.
@@ -92,7 +92,7 @@ class MoveTo(NamedTuple):
         return one_hot(self.dim, self.index, self.velocity if d > 0 else -self.velocity), abs(d) < self.threshold
 
 
-STABILIZER_GAIN = 0.2  # at step 0, then decays geometrically
+STABILIZER_GAIN = 0.2  # at the start step, then decays geometrically
 STABILIZER_DECAY = 0.995  # per step
 STABILIZER_MIN_GAIN = 0.02  # floor of the decayed gain
 STABILIZER_THRESHOLD = 0.01  # rad, per joint
@@ -101,18 +101,21 @@ STABILIZER_THRESHOLD = 0.01  # rad, per joint
 class ArmStabilizer:
     """Holds the arm joints at a reference pose with one vector bang-bang.
 
-    Each joint that is not settled emits +/-gain at its slot toward its
-    reference angle, then counts as settled once |error| < 0.01; a settled
-    joint stays silent until it drifts back out of that band. The gain
-    degenerates geometrically (``0.2 * 0.995**k``, floored at 0.02) so the
-    hold softens over time. The output is meant to be added to the
-    main-stream action before clamping and is zero outside the stabilized
-    joint slots.
+    Built from the observation at the ``stabilizer_on`` marker: its arm joints
+    are the reference and its ``step_index`` the start. At the start every
+    joint emits +/-gain at its slot toward its reference angle; after it, a
+    joint is silent only while |error| < 0.01 on both the current and the
+    previous observation, so one that drifts back out re-arms. The gain
+    degenerates geometrically (``0.2 * 0.995**k`` at ``k`` steps past the
+    start, floored at 0.02) so the hold softens over time. The output is meant
+    to be added to the main-stream action before clamping and is zero outside
+    the stabilized joint slots.
     """
 
-    __slots__ = ("index_map", "steps_taken", "_joints", "_settled")
+    __slots__ = ("index_map", "reference", "start", "_pairs")
 
-    def __init__(self, index_map: ActionIndexMap, reference: tuple[tuple[float, ...], ...]) -> None:
+    def __init__(self, index_map: ActionIndexMap, obs: Observation) -> None:
+        reference = obs.robot.arm_joints
         if len(reference) != len(index_map.arms):
             raise ValueError("stabilizer reference must provide a pose for every arm")
         for arm, pose in enumerate(reference):
@@ -121,30 +124,24 @@ class ArmStabilizer:
                     f"reference pose for arm {arm} has {len(pose)} joints, expected {index_map.joints_per_arm}"
                 )
         self.index_map = index_map
-        self.steps_taken = 0
-        # per joint, in arm-major order: (arm, joint, action slot, target); _settled[k] is joint k's mask bit
-        self._joints = tuple(
-            (arm, joint, slot, angle)
-            for arm, (pose, slots) in enumerate(zip(reference, index_map.joint_slots))
-            for joint, (angle, slot) in enumerate(zip(pose, slots))
-        )
-        self._settled = [False] * len(self._joints)
+        self.reference = reference
+        self.start = obs.step_index
+        # per arm, one (action slot, reference angle) pair per joint
+        self._pairs = tuple(tuple(zip(slots, pose)) for pose, slots in zip(reference, index_map.joint_slots))
 
-    @property
-    def gain(self) -> float:
-        return max(STABILIZER_GAIN * STABILIZER_DECAY**self.steps_taken, STABILIZER_MIN_GAIN)
-
-    def step(self, obs: Observation) -> Action:
-        g = self.gain
-        settled = self._settled
-        joints = obs.robot.arm_joints
+    def step(self, obs: Observation, previous: Observation) -> Action:
+        """The correction at ``obs``; ``previous`` is the step before it, unread at the start."""
+        k = obs.step_index - self.start
+        if k < 0:
+            raise ValueError(f"stabilizer started at step {self.start}, got step {obs.step_index}")
+        if k and previous.step_index != obs.step_index - 1:
+            raise ValueError(f"previous observation is step {previous.step_index}, expected {obs.step_index - 1}")
+        g = max(STABILIZER_GAIN * STABILIZER_DECAY**k, STABILIZER_MIN_GAIN)
         out = [0.0] * self.index_map.dim
-        for k, (arm, joint, slot, target) in enumerate(self._joints):
-            d = target - joints[arm][joint]
-            inside = abs(d) < STABILIZER_THRESHOLD
-            if settled[k] and inside:
-                continue  # settled and still inside the band
-            out[slot] = g if d > 0 else -g
-            settled[k] = inside
-        self.steps_taken += 1
+        for pairs, now, before in zip(self._pairs, obs.robot.arm_joints, previous.robot.arm_joints):
+            for (slot, target), q, p in zip(pairs, now, before):
+                d = target - q
+                if k and abs(d) < STABILIZER_THRESHOLD and abs(target - p) < STABILIZER_THRESHOLD:
+                    continue  # inside the band now and one step ago
+                out[slot] = g if d > 0 else -g
         return tuple(out)

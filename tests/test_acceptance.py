@@ -139,11 +139,13 @@ def _held_load_deviation(seed: int, stabilize: bool) -> float:
         obs, _ = env.step(hold)
     assert all(obs.robot.grasping), f"seed {seed}: load never attached"
     reference = obs.robot.arm_joints
-    stab = ArmStabilizer(imap, reference) if stabilize else None
+    stab = ArmStabilizer(imap, obs) if stabilize else None
     zero = (0.0,) * imap.dim
     total, count = 0.0, 0
+    previous = obs
     for _ in range(200):
-        action = clamp(add(zero, stab.step(obs))) if stab else zero
+        action = clamp(add(zero, stab.step(obs, previous))) if stab else zero
+        previous = obs
         obs, _ = env.step(action)
         for arm, pose in enumerate(obs.robot.arm_joints):
             for j, q in enumerate(pose):

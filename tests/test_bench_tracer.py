@@ -24,8 +24,7 @@ def test_traced_episodes_clamp_once_per_env_step(monkeypatch):
     tracer = Tracer()
     try:
         tracer.install(hb, sys.modules["heurobot"])
-        for task in TASK_KINDS:
-            hb.orchestrator.run_episode(task, hb.plans.builtin_plan(task), None, 0)
+        results = [hb.orchestrator.run_episode(task, hb.plans.builtin_plan(task), None, 0) for task in TASK_KINDS]
     finally:
         tracer.uninstall()
     values = tracer.per_layer(len(TASK_KINDS), 0.0, 0.0)
@@ -33,6 +32,17 @@ def test_traced_episodes_clamp_once_per_env_step(monkeypatch):
     assert values["core.clamp.calls"] == values["mockenv.step.calls"]
     assert values["subtasks.move_to.calls"] > 0
     assert values["subtasks.stabilizer.calls"] > 0
+    assert 0 < values["subtasks.stabilizer.active_ratio"] <= 1
+    # the ratio counts the nonzero slots of the action vector ``step`` returns, so it equals a recount of the logs
+    active = stabilized_slots = 0
+    for task, result in zip(TASK_KINDS, results):
+        kinds = [e.kind for e in hb.plans.builtin_plan(task).entries]
+        marker = kinds.index("stabilizer_on") if "stabilizer_on" in kinds else len(kinds)
+        for rec in result.trajectory:
+            if rec.subtask_index > marker:
+                active += sum(1 for v in rec.stabilizer_action if v != 0.0)
+                stabilized_slots += sum(map(len, hb.core.TASK_ACTIONS[task].joint_slots))
+    assert values["subtasks.stabilizer.active_ratio"] == active / stabilized_slots
     assert values["mockenv.noise_draws"] > 0
     assert tracer.stats["subtasks.move_steps"][0] > 0
     assert tracer.stats["plans.resolve"][0] == len(TASK_KINDS)

@@ -4,7 +4,10 @@ import random
 
 import pytest
 
-from heurobot.core import DUAL_ARM, READY_POSE, SINGLE_ARM, midpoint
+from heurobot.core import DUAL_ARM, READY_POSE, SINGLE_ARM, TASK_ACTIONS, midpoint
+from heurobot.mockenv import EnvConfig
+from heurobot.orchestrator import run_episode
+from heurobot.plans import builtin_plan
 from heurobot.subtasks import SELECTORS, STABILIZER_GAIN, ArmStabilizer, MoveSteps, MoveTo
 
 from helpers import make_obs, robot_state
@@ -210,54 +213,70 @@ def pose(*angles):
     return angles + (0.0,) * (len(READY_POSE) - len(angles))
 
 
-def obs_for_joints(joints):
-    return make_obs(robot=robot_state(arm_joints=joints))
+def obs_for_joints(joints, step=0):
+    return make_obs(robot=robot_state(arm_joints=joints), step_index=step)
+
+
+def started(m, reference, start=0):
+    """A stabilizer built at ``reference`` on step ``start``, and a function that
+    steps it on one pose per call, each call one step after the last (the
+    first at ``start``), passing the observation before it as ``previous``."""
+    stab = ArmStabilizer(m, obs_for_joints(reference, start))
+    seen = []
+
+    def step(joints):
+        obs = obs_for_joints(joints, start + len(seen))
+        act = stab.step(obs, seen[-1] if seen else obs)
+        seen.append(obs)
+        return act
+
+    return stab, step
 
 
 def test_stabilizer_init_builds_one_corrector_per_joint():
     m = SINGLE_ARM
-    stab = ArmStabilizer(m, (pose(0.1, -0.3),))
+    stab, step = started(m, (pose(0.1, -0.3),))
+    assert stab.reference == (pose(0.1, -0.3),) and stab.start == 0
     j0, j1 = m.joint_slots[0][0], m.joint_slots[0][1]
     # one channel per joint, each pushing toward its own reference angle
-    first = stab.step(obs_for_joints((pose(0.5, -0.5),)))
+    first = step((pose(0.5, -0.5),))
     assert first[j0] == -STABILIZER_GAIN and first[j1] == STABILIZER_GAIN
     assert all(v == 0.0 for i, v in enumerate(first) if i not in m.joint_slots[0])
     # threshold 0.01: inside the band a joint settles after one emission, outside it does not
-    near = obs_for_joints((pose(0.1 + 0.009, -0.3 - 0.011),))
-    stab.step(near)
-    second = stab.step(near)
+    near = (pose(0.1 + 0.009, -0.3 - 0.011),)
+    step(near)
+    second = step(near)
     assert second[j0] == 0.0 and second[j1] != 0.0
 
 
 def test_stabilizer_rejects_empty_or_mismatched_reference():
     m = SINGLE_ARM
     with pytest.raises(ValueError):
-        ArmStabilizer(m, ())
+        ArmStabilizer(m, obs_for_joints(()))
     with pytest.raises(ValueError):
-        ArmStabilizer(m, ((),))
+        ArmStabilizer(m, obs_for_joints(((),)))
     with pytest.raises(ValueError):
-        ArmStabilizer(m, ((0.1, 0.2, 0.3),))
+        ArmStabilizer(m, obs_for_joints(((0.1, 0.2, 0.3),)))
     with pytest.raises(ValueError):
-        ArmStabilizer(m, (pose() + (0.0,),))
+        ArmStabilizer(m, obs_for_joints((pose() + (0.0,),)))
 
 
 def test_stabilizer_at_reference_fires_once_then_goes_quiet():
     m = SINGLE_ARM
-    stab = ArmStabilizer(m, (pose(0.1, -0.3),))
-    obs = obs_for_joints((pose(0.1, -0.3),))
-    first = stab.step(obs)
+    _, step = started(m, (pose(0.1, -0.3),))
+    at_reference = (pose(0.1, -0.3),)
+    first = step(at_reference)
     j0, j1 = m.joint_slots[0][0], m.joint_slots[0][1]
     assert abs(first[j0]) == STABILIZER_GAIN and abs(first[j1]) == STABILIZER_GAIN
     assert all(v == 0.0 for i, v in enumerate(first) if i not in m.joint_slots[0])
     for _ in range(3):
-        assert all(v == 0.0 for v in stab.step(obs))
+        assert all(v == 0.0 for v in step(at_reference))
 
 
 def test_stabilizer_corrects_displaced_joint_toward_reference():
     m = SINGLE_ARM
-    stab = ArmStabilizer(m, (pose(),))
-    obs = obs_for_joints((pose(0.5),))
-    out = stab.step(obs)
+    _, step = started(m, (pose(),))
+    out = step((pose(0.5),))
     assert out[m.joint_slots[0][0]] == -STABILIZER_GAIN  # pushes back down
     # zero outside the stabilized joint slots
     joint_slots = set(m.joint_slots[0])
@@ -266,46 +285,43 @@ def test_stabilizer_corrects_displaced_joint_toward_reference():
 
 def test_stabilizer_rearms_after_convergence():
     m = SINGLE_ARM
-    stab = ArmStabilizer(m, (pose(),))
-    settled = obs_for_joints((pose(),))
-    stab.step(settled)
-    assert all(v == 0.0 for v in stab.step(settled))
-    disturbed = obs_for_joints((pose(0.2),))
-    out = stab.step(disturbed)
+    _, step = started(m, (pose(),))
+    settled = (pose(),)
+    step(settled)
+    assert all(v == 0.0 for v in step(settled))
+    out = step((pose(0.2),))
     assert out[m.joint_slots[0][0]] != 0.0
 
 
 def test_stabilizer_gain_decays_geometrically_with_floor():
     m = SINGLE_ARM
-    stab = ArmStabilizer(m, (pose(),))
-    obs = obs_for_joints((pose(1.0, 1.0),))
-    gains = [abs(stab.step(obs)[m.joint_slots[0][0]]) for _ in range(470)]
+    _, step = started(m, (pose(),), start=5)
+    gains = [abs(step((pose(1.0, 1.0),))[m.joint_slots[0][0]]) for _ in range(470)]
     assert gains == [max(0.2 * 0.995**k, 0.02) for k in range(470)]
     assert gains[0] == 0.2 and gains[-1] == 0.02  # the floor is reached within the window
 
 
 def test_stabilizer_dual_arm_reference():
     m = DUAL_ARM
-    stab = ArmStabilizer(m, (pose(), pose(0.1, 0.1)))
-    obs = obs_for_joints((pose(), pose(0.1, 0.1)))
-    first = stab.step(obs)
+    _, step = started(m, (pose(), pose(0.1, 0.1)))
+    at_reference = (pose(), pose(0.1, 0.1))
+    first = step(at_reference)
     joint_slots = set(m.joint_slots[0]) | set(m.joint_slots[1])
     assert len(joint_slots) == 16
     assert all(abs(first[i]) == STABILIZER_GAIN for i in joint_slots)
     assert all(v == 0.0 for i, v in enumerate(first) if i not in joint_slots)
-    assert all(v == 0.0 for v in stab.step(obs))
+    assert all(v == 0.0 for v in step(at_reference))
 
 
 def test_stabilizer_nan_joint_emits_minus_gain_and_never_settles():
     m = SINGLE_ARM
-    stab = ArmStabilizer(m, (pose(),))
-    obs = obs_for_joints((pose(0.0, math.nan),))
+    _, step = started(m, (pose(),))
+    with_nan = (pose(0.0, math.nan),)
     nan_slot = m.joint_slots[0][1]
-    stab.step(obs)  # every joint emits on the first step
-    for _ in range(3):
-        gain = stab.gain
-        act = stab.step(obs)
-        assert act[nan_slot] == -gain
+    step(with_nan)  # every joint emits on the first step
+    for k in range(1, 4):
+        act = step(with_nan)
+        assert act[nan_slot] == -max(0.2 * 0.995**k, 0.02)
         assert all(v == 0.0 for i, v in enumerate(act) if i != nan_slot)
 
 
@@ -350,7 +366,7 @@ class CorrectorBankOracle:
 def test_stabilizer_matches_corrector_bank_oracle(m):
     rng = random.Random(f"{len(m.arms)}:0.995")
     reference = tuple(tuple(rng.uniform(-1.5, 1.5) for _ in range(m.joints_per_arm)) for _ in m.arms)
-    stab = ArmStabilizer(m, reference)
+    _, step = started(m, reference, start=37)
     oracle = CorrectorBankOracle(m, reference)
     joints = [[q + rng.uniform(-0.05, 0.05) for q in pose] for pose in reference]
     slots = [m.joint_slots[arm] for arm in range(len(m.arms))]
@@ -358,8 +374,7 @@ def test_stabilizer_matches_corrector_bank_oracle(m):
     previous = None
     settles = rearms = 0
     for _ in range(600):
-        obs = obs_for_joints(joints)
-        want, got = oracle.step(obs), stab.step(obs)
+        want, got = oracle.step(obs_for_joints(joints)), step(joints)
         assert json.dumps(got) == json.dumps(want)  # same bytes, signed zeros included
         if previous is not None:
             settles += sum(1 for i in joint_slots if previous[i] != 0.0 and got[i] == 0.0)
@@ -369,6 +384,36 @@ def test_stabilizer_matches_corrector_bank_oracle(m):
         for arm, q in enumerate(joints):
             for j in range(len(q)):
                 q[j] += got[slots[arm][j]] * 0.05 + rng.gauss(0.0, 0.008)
-    assert stab.steps_taken == oracle.steps_taken == 600
+    assert oracle.steps_taken == 600
     assert settles > 10 and rearms > 10  # the walk exercises both mask transitions
 
+
+def test_stabilizer_misuse_raises():
+    m = SINGLE_ARM
+    stab = ArmStabilizer(m, obs_for_joints((pose(),), 5))
+    at = {step: obs_for_joints((pose(0.3),), step) for step in range(3, 9)}
+    with pytest.raises(ValueError, match="started at step 5, got step 4"):
+        stab.step(at[4], at[3])  # before the start
+    with pytest.raises(ValueError, match="previous observation is step 5, expected 6"):
+        stab.step(at[7], at[5])  # a step skipped
+    with pytest.raises(ValueError, match="previous observation is step 8, expected 6"):
+        stab.step(at[7], at[8])  # out of order
+    assert stab.step(at[5], at[8]) == stab.step(at[5], at[5])  # the start step does not read previous
+
+
+@pytest.mark.parametrize("config", [None, EnvConfig(disturbance_std=0.05)], ids=["default", "std_0.05"])
+@pytest.mark.parametrize("task", ["move_bucket", "push_chair"])
+def test_stabilizer_column_recomputes_from_the_log_in_any_order(task, config):
+    plan = builtin_plan(task)
+    marker = next(i for i, e in enumerate(plan.entries) if e.kind == "stabilizer_on")
+    for seed in range(10):
+        records = run_episode(task, plan, config, seed).trajectory
+        first = next(i for i, rec in enumerate(records) if rec.subtask_index > marker)
+        stab = ArmStabilizer(TASK_ACTIONS[task], records[first].obs)
+        state = {name: getattr(stab, name) for name in ArmStabilizer.__slots__}
+        for i in reversed(range(first, len(records))):
+            rec, previous = records[i], records[i - 1 if i > first else i].obs
+            got = stab.step(rec.obs, previous)
+            assert repr(got) == repr(rec.stabilizer_action), f"seed {seed} step {i}"
+            assert stab.step(rec.obs, previous) == got
+        assert all(getattr(stab, name) is value for name, value in state.items())
