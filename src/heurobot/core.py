@@ -120,7 +120,8 @@ class ActionIndexMap:
     ``<arm>_arm_joint_<j>`` followed by ``<arm>_fingers`` (positive = close,
     negative = open). ``joint_slots`` holds each arm's joint slot indices and
     ``finger_slots`` each arm's finger slot index. The stack uses only the
-    two prebuilt maps ``SINGLE_ARM`` and ``DUAL_ARM``.
+    two prebuilt maps ``SINGLE_ARM`` and ``DUAL_ARM``, and a map pickles and
+    copies as one of them, by name.
     """
 
     __slots__ = ("arms", "slots", "joint_slots", "finger_slots", "_index")
@@ -141,6 +142,10 @@ class ActionIndexMap:
         self.joint_slots = tuple(joint_slots)
         self.finger_slots = tuple(finger_slots)
         self._index = {name: i for i, name in enumerate(names)}
+
+    def __reduce__(self) -> str:
+        # pickle and copy resolve a map to this module's own object by name
+        return "DUAL_ARM" if len(self.arms) == 2 else "SINGLE_ARM"
 
     @property
     def robot(self) -> "ActionIndexMap":

@@ -1,15 +1,16 @@
 """Closed-loop episode runner.
 
 An outer loop runs the plan entries in order, each in an inner loop of its
-own. The ``StabilizerOn`` marker switches the stabilizer on at the current
-pose and consumes no environment step. Any other entry steps until it
-reports done: each step it produces one action, the stabilizer
-contribution (once its marker has been passed) is added, the sum is
-clamped and handed to the environment; this is the only place an action
-is saturated. Episodes stop on task success, on the step cap, or when every
-entry has finished. No controller keeps state: the outer loop holds the
-targets ``resolve`` evaluated, the inner loop the steps its entry has taken,
-and the records the previous observation the stabilizer reads.
+own. The ``stabilizer_on`` marker (an ``ArmStabilizer``) switches the
+stabilizer on at the current pose and consumes no environment step. Any
+other entry steps until it reports done: each step it produces one action,
+the stabilizer contribution (once its marker has been passed) is added, the
+sum is clamped and handed to the environment; this is the only place an
+action is saturated. Episodes stop on task success, on the step cap, or when
+every entry has finished. No entry keeps state: the outer loop holds the
+targets ``resolve`` evaluated and the observation at the marker, the inner
+loop the steps its entry has taken, and the records the previous observation
+the stabilizer reads.
 A plan that cannot be resolved against the first observation, or an error
 inside a step, fails that episode with its ``error`` set; it never ends the
 batch. Each ``StepRecord`` keeps the observation its sub-task saw, so the
@@ -30,7 +31,7 @@ from typing import NamedTuple
 
 from .core import Action, Observation, add, clamp
 from .mockenv import EnvConfig, MockEnv, check_seed
-from .plans import Plan, StabilizerOn, resolve
+from .plans import Plan, resolve
 from .subtasks import ArmStabilizer
 
 
@@ -68,6 +69,7 @@ def run_episode(task_kind: str, plan: Plan, env_config: EnvConfig | None = None,
     obs, done = env.reset(seed)
     zeros = (0.0,) * env.index_map.dim
     stabilizer: ArmStabilizer | None = None
+    start = obs  # the observation at the marker, once it is passed
     records: list[StepRecord] = []
     error: str | None = None
     try:
@@ -78,14 +80,14 @@ def run_episode(task_kind: str, plan: Plan, env_config: EnvConfig | None = None,
     for idx, (entry, target) in enumerate(zip(plan.entries, targets)):
         if done or error is not None:
             break
-        if isinstance(entry, StabilizerOn):  # a plan has at most one
-            stabilizer = ArmStabilizer(env.index_map, obs)
+        if isinstance(entry, ArmStabilizer):  # a plan has at most one
+            stabilizer, start = entry, obs
             continue
         taken, finished = 0, False
         while not (finished or done):
             try:
                 main, finished = entry.step(obs, target, taken)
-                stab = stabilizer.step(obs, records[-1].obs if records else obs) if stabilizer is not None else zeros
+                stab = stabilizer.step(obs, start, records[-1].obs if records else obs) if stabilizer is not None else zeros
                 final = clamp(add(main, stab))
                 record = StepRecord(entry.label, idx, final, main, stab, obs)
                 obs, done = env.step(final)

@@ -8,9 +8,10 @@ evaluated once against the first observation of an episode: later object
 motion never retargets a sub-task.
 
 ``parse_plan`` checks a document once into frozen entries; nothing is
-filled in. The ``MoveSteps`` and ``MoveTo`` entries are the sub-task
-controllers themselves; ``resolve`` only evaluates their targets for one
-episode.
+filled in but the task's action layout. There are three entry kinds,
+``MoveSteps``, ``MoveTo`` and the ``stabilizer_on`` marker
+``ArmStabilizer``, and each is its own sub-task controller; ``resolve``
+only evaluates the ``MoveTo`` targets for one episode.
 """
 
 from __future__ import annotations
@@ -29,15 +30,13 @@ from ..core import (
     read_json,
     wrap_angle,
 )
-from ..subtasks import JOINT_SELECTORS, SELECTORS, MoveSteps, MoveTo
-
-MARKER_KIND = "stabilizer_on"
+from ..subtasks import JOINT_SELECTORS, SELECTORS, ArmStabilizer, MoveSteps, MoveTo
 
 # entry kind -> fields it requires besides ``kind`` and ``label``, in document order
 ENTRY_FIELDS = {
-    "move_steps": ("action", "steps"),
-    "move_to": ("slot", "selector", "target", "velocity", "threshold"),
-    MARKER_KIND: (),
+    MoveSteps.kind: ("action", "steps"),
+    MoveTo.kind: ("slot", "selector", "target", "velocity", "threshold"),
+    ArmStabilizer.kind: (),
 }
 
 PLAN_SCHEMA_VERSION = 1
@@ -122,14 +121,7 @@ def eval_target(target: float | str, obs: Observation) -> float:
 # ------------------------------------------------------------------ plans
 
 
-class StabilizerOn(NamedTuple):
-    """Marker entry: switch the arm stabilizer on at the current pose."""
-
-    kind = MARKER_KIND  # a class attribute, not a field
-    label: str
-
-
-PlanEntry = StabilizerOn | MoveSteps | MoveTo
+PlanEntry = ArmStabilizer | MoveSteps | MoveTo
 
 
 class Plan(NamedTuple):
@@ -184,11 +176,11 @@ def parse_plan(doc: object) -> Plan:
             raise PlanError(f"{where}: missing keys {missing} for kind {kind!r}")
         if not isinstance(label, str) or not label:
             raise PlanError(f"{where}: label must be a non-empty string")
-        if kind == MARKER_KIND:
-            if any(e.kind == MARKER_KIND for e in entries):
+        if kind == ArmStabilizer.kind:
+            if any(isinstance(e, ArmStabilizer) for e in entries):
                 raise PlanError(f"{where}: duplicate stabilizer_on marker")
-            entries.append(StabilizerOn(label))
-        elif kind == "move_steps":
+            entries.append(ArmStabilizer(label, index_map))
+        elif kind == MoveSteps.kind:
             steps, action = obj["steps"], obj["action"]
             if type(steps) is not int or steps < 1:
                 raise PlanError(f"{where}: move_steps requires integer steps >= 1, got {steps!r}")

@@ -3,12 +3,12 @@
 Two primitives cover every task script: emit a fixed action for a fixed
 number of steps, or drive one selected scalar of the observation toward a
 target by activating exactly one action component at +/-v until the error
-drops below a threshold. Each is a frozen plan entry, built once by
-``parse_plan``; its ``step`` keeps no state, because the episode runner
-passes in the evaluated target and the steps the entry has taken so far.
-The arm stabilizer applies the same bang-bang rule to every arm joint at
-once and keeps no state either: a joint inside its band on the previous
+drops below a threshold. The arm stabilizer applies the same bang-bang
+rule to every arm joint at once: a joint inside its band on the previous
 observation and the current one is silent, and re-arms once it drifts out.
+All three are frozen plan entries built by ``parse_plan``, each its own
+controller, and none keeps state: the episode runner passes in what ``step``
+reads (a target and the steps taken, or the marker and previous observations).
 
 Both primitives deliberately emit before they evaluate their done flag, so
 even an already-converged controller produces exactly one action.
@@ -52,8 +52,8 @@ SELECTORS: dict[str, Selector] = {
 }
 
 
-# Entries hold names, numbers and indices, never selector callables, so a
-# ``Plan`` of them pickles to pool workers.
+# Entries hold names, numbers, indices and action layouts (which pickle by
+# name), never selector callables, so a ``Plan`` of them pickles to pool workers.
 class MoveSteps(NamedTuple):
     """Emit a fixed action vector for ``steps`` steps."""
 
@@ -98,48 +98,37 @@ STABILIZER_MIN_GAIN = 0.02  # floor of the decayed gain
 STABILIZER_THRESHOLD = 0.01  # rad, per joint
 
 
-class ArmStabilizer:
-    """Holds the arm joints at a reference pose with one vector bang-bang.
+class ArmStabilizer(NamedTuple):
+    """Marker entry: holds the arm joints at a reference pose with one vector bang-bang.
 
-    Built from the observation at the ``stabilizer_on`` marker: its arm joints
-    are the reference and its ``step_index`` the start. At the start every
-    joint emits +/-gain at its slot toward its reference angle; after it, a
-    joint is silent only while |error| < 0.01 on both the current and the
-    previous observation, so one that drifts back out re-arms. The gain
-    degenerates geometrically (``0.2 * 0.995**k`` at ``k`` steps past the
+    ``start`` is the observation at which the runner passed the marker: its
+    arm joints are the reference and its ``step_index`` the start. At the
+    start every joint emits +/-gain at its slot toward its reference angle;
+    after it, a joint is silent only while |error| < 0.01 on both the current
+    and the previous observation, so one that drifts back out re-arms. The
+    gain degenerates geometrically (``0.2 * 0.995**k`` at ``k`` steps past the
     start, floored at 0.02) so the hold softens over time. The output is meant
     to be added to the main-stream action before clamping and is zero outside
     the stabilized joint slots.
     """
 
-    __slots__ = ("index_map", "reference", "start", "_pairs")
+    kind = "stabilizer_on"  # a class attribute, not a field
+    label: str
+    index_map: ActionIndexMap  # the task's action layout
 
-    def __init__(self, index_map: ActionIndexMap, obs: Observation) -> None:
-        reference = obs.robot.arm_joints
-        if len(reference) != len(index_map.arms):
-            raise ValueError("stabilizer reference must provide a pose for every arm")
-        for arm, pose in enumerate(reference):
-            if len(pose) != index_map.joints_per_arm:
-                raise ValueError(
-                    f"reference pose for arm {arm} has {len(pose)} joints, expected {index_map.joints_per_arm}"
-                )
-        self.index_map = index_map
-        self.reference = reference
-        self.start = obs.step_index
-        # per arm, one (action slot, reference angle) pair per joint
-        self._pairs = tuple(tuple(zip(slots, pose)) for pose, slots in zip(reference, index_map.joint_slots))
-
-    def step(self, obs: Observation, previous: Observation) -> Action:
-        """The correction at ``obs``; ``previous`` is the step before it, unread at the start."""
-        k = obs.step_index - self.start
+    def step(self, obs: Observation, start: Observation, previous: Observation) -> Action:
+        """The correction at ``obs``; ``previous`` is the step before it, unread at ``start``."""
+        k = obs.step_index - start.step_index
         if k < 0:
-            raise ValueError(f"stabilizer started at step {self.start}, got step {obs.step_index}")
+            raise ValueError(f"stabilizer started at step {start.step_index}, got step {obs.step_index}")
         if k and previous.step_index != obs.step_index - 1:
             raise ValueError(f"previous observation is step {previous.step_index}, expected {obs.step_index - 1}")
         g = max(STABILIZER_GAIN * STABILIZER_DECAY**k, STABILIZER_MIN_GAIN)
         out = [0.0] * self.index_map.dim
-        for pairs, now, before in zip(self._pairs, obs.robot.arm_joints, previous.robot.arm_joints):
-            for (slot, target), q, p in zip(pairs, now, before):
+        for slots, reference, now, before in zip(
+            self.index_map.joint_slots, start.robot.arm_joints, obs.robot.arm_joints, previous.robot.arm_joints
+        ):
+            for slot, target, q, p in zip(slots, reference, now, before):
                 d = target - q
                 if k and abs(d) < STABILIZER_THRESHOLD and abs(target - p) < STABILIZER_THRESHOLD:
                     continue  # inside the band now and one step ago

@@ -130,7 +130,8 @@ def write_summary(path, batch: BatchResult, config: EnvConfig, plan_source: str,
 
 
 def _check_summary(doc: object) -> dict:
-    """``doc`` if it is a summary document; raises ValueError on schema or type mismatch."""
+    """``doc`` if it is a summary document; raises ValueError on schema or type mismatch,
+    an empty ``episodes`` list, or a ``success_rate`` other than its episodes' rate."""
     if not _is_schema(doc, "summary"):
         raise ValueError(f"not a schema v{SCHEMA_VERSION} summary file")
     for key in ("task", "success_rate", "mean_steps", "episodes"):
@@ -143,8 +144,13 @@ def _check_summary(doc: object) -> dict:
             raise ValueError(f"summary {key!r} must be a finite number")
     if not isinstance(doc["episodes"], list) or not all(isinstance(e, dict) for e in doc["episodes"]):
         raise ValueError("summary 'episodes' must be a list of objects")
+    if not doc["episodes"]:
+        raise ValueError("summary 'episodes' is empty")
     if not all(type(e.get("success")) is bool for e in doc["episodes"]):
         raise ValueError("summary episode 'success' must be true or false")
+    successes = sum(1 for e in doc["episodes"] if e["success"])
+    if doc["success_rate"] != successes / len(doc["episodes"]):  # exact: the writer divides the same way
+        raise ValueError(f"summary 'success_rate' {doc['success_rate']!r} is not {successes}/{len(doc['episodes'])}")
     return doc
 
 

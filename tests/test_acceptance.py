@@ -138,13 +138,13 @@ def _held_load_deviation(seed: int, stabilize: bool) -> float:
     for _ in range(5):
         obs, _ = env.step(hold)
     assert all(obs.robot.grasping), f"seed {seed}: load never attached"
-    reference = obs.robot.arm_joints
-    stab = ArmStabilizer(imap, obs) if stabilize else None
+    reference, start = obs.robot.arm_joints, obs
+    stab = ArmStabilizer("hold", imap) if stabilize else None
     zero = (0.0,) * imap.dim
     total, count = 0.0, 0
     previous = obs
     for _ in range(200):
-        action = clamp(add(zero, stab.step(obs, previous))) if stab else zero
+        action = clamp(add(zero, stab.step(obs, start, previous))) if stab else zero
         previous = obs
         obs, _ = env.step(action)
         for arm, pose in enumerate(obs.robot.arm_joints):

@@ -292,6 +292,8 @@ def test_report_skips_malformed_files_with_warnings(tmp_path, capsys):
         "schema_version_true": json.dumps({**doc, "schema_version": True}),
         "success_string": json.dumps({**doc, "episodes": [{**e, "success": "false"} for e in doc["episodes"]]}),
         "success_int": json.dumps({**doc, "episodes": [{**e, "success": 1} for e in doc["episodes"]]}),
+        "episodes_empty": json.dumps({**doc, "episodes": []}),
+        "rate_not_the_episodes_rate": json.dumps({**doc, "success_rate": 0.25}),  # no k/2
     }
     junk = []
     for name, text in junk_texts.items():

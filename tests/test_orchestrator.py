@@ -8,11 +8,11 @@ from typing import NamedTuple
 import pytest
 
 from heurobot import orchestrator
-from heurobot.core import TASK_KINDS
+from heurobot.core import SINGLE_ARM, TASK_KINDS
 from heurobot.mockenv import EnvConfig, MockEnv
 from heurobot.orchestrator import replay_actions, run_batch, run_episode
-from heurobot.plans import Plan, PlanError, StabilizerOn, builtin_plan, parse_plan
-from heurobot.subtasks import MoveSteps, MoveTo
+from heurobot.plans import Plan, PlanError, builtin_plan, parse_plan
+from heurobot.subtasks import ArmStabilizer, MoveSteps, MoveTo
 from heurobot.trajlog import trajectory_lines
 
 
@@ -167,7 +167,7 @@ class RecordingEntry(NamedTuple):
 
 
 def test_marker_as_first_entry_stabilizes_from_step_zero():
-    result = run_episode("open_cabinet_door", Plan("open_cabinet_door", (StabilizerOn("hold"), idle(3))), seed=1)
+    result = run_episode("open_cabinet_door", Plan("open_cabinet_door", (ArmStabilizer("hold", SINGLE_ARM), idle(3))), seed=1)
     assert result.error is None
     assert subtask_trace(result) == (1, 1, 1)
     assert any(v != 0.0 for v in result.trajectory[0].stabilizer_action)
@@ -175,7 +175,7 @@ def test_marker_as_first_entry_stabilizes_from_step_zero():
 
 @pytest.mark.parametrize("before, trace", [((), ()), ((idle(3),), (0, 0, 0))], ids=["marker_only", "after_idle"])
 def test_marker_as_last_entry_takes_no_step_and_raises_nothing(before, trace):
-    result = run_episode("open_cabinet_door", Plan("open_cabinet_door", (*before, StabilizerOn("hold"))), seed=1)
+    result = run_episode("open_cabinet_door", Plan("open_cabinet_door", (*before, ArmStabilizer("hold", SINGLE_ARM))), seed=1)
     assert result.error is None and not result.success
     assert subtask_trace(result) == trace
     assert all(v == 0.0 for rec in result.trajectory for v in rec.stabilizer_action)

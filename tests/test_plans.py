@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 import pickle
@@ -8,19 +9,18 @@ from pathlib import Path
 
 import pytest
 
-from heurobot.core import TASK_KINDS, read_json
+from heurobot.core import DUAL_ARM, SINGLE_ARM, TASK_KINDS, read_json
 from heurobot.mockenv import EnvConfig
 from heurobot.orchestrator import run_episode
 from heurobot.plans import (
     PLAN_DATA_DIR,
     PlanError,
-    StabilizerOn,
     builtin_plan,
     eval_target,
     parse_plan,
     resolve,
 )
-from heurobot.subtasks import MoveSteps, MoveTo
+from heurobot.subtasks import ArmStabilizer, MoveSteps, MoveTo
 from heurobot.trajlog import trajectory_lines
 
 from helpers import bucket_attributes, chair_attributes, door_attributes, make_obs, robot_state
@@ -165,6 +165,14 @@ def test_load_duplicate_stabilizer_marker():
     """
     with pytest.raises(PlanError, match="duplicate"):
         parse_plan(json.loads(text))
+
+
+@pytest.mark.parametrize("task_kind, index_map", [("open_cabinet_door", SINGLE_ARM), ("move_bucket", DUAL_ARM)])
+def test_marker_entry_holds_its_tasks_action_layout(task_kind, index_map):
+    doc = {"task_kind": task_kind, "entries": [{"kind": "stabilizer_on", "label": "hold"}]}
+    (marker,) = parse_plan(doc).entries
+    assert type(marker) is ArmStabilizer and marker.label == "hold"
+    assert marker.index_map is index_map
 
 
 def test_load_unknown_selector_names_entry():
@@ -395,7 +403,7 @@ def test_resolve_marker_and_literal_targets():
     """
     plan = parse_plan(json.loads(text))
     marker = plan.entries[2]
-    assert isinstance(marker, StabilizerOn) and marker.label == "hold_still"
+    assert isinstance(marker, ArmStabilizer) and marker == ArmStabilizer("hold_still", DUAL_ARM)
     assert resolve(plan, make_obs(obj=chair_attributes())) == [0.5, 0.5, None]
 
 
@@ -438,3 +446,12 @@ def test_builtin_plan_survives_pickling(task_kind):
     # pool workers receive the plan pickled: its entries hold names, never callables
     plan = builtin_plan(task_kind)
     assert pickle.loads(pickle.dumps(plan)) == plan
+
+
+def test_action_layouts_pickle_and_copy_by_name():
+    # a spawned pool worker unpickles the plan's marker onto its own module's layout
+    for index_map in (SINGLE_ARM, DUAL_ARM):
+        assert pickle.loads(pickle.dumps(index_map)) is index_map
+        assert copy.copy(index_map) is index_map and copy.deepcopy(index_map) is index_map
+    marker = next(e for e in builtin_plan("move_bucket").entries if isinstance(e, ArmStabilizer))
+    assert pickle.loads(pickle.dumps(marker)).index_map is DUAL_ARM

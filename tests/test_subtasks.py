@@ -218,15 +218,16 @@ def obs_for_joints(joints, step=0):
 
 
 def started(m, reference, start=0):
-    """A stabilizer built at ``reference`` on step ``start``, and a function that
-    steps it on one pose per call, each call one step after the last (the
-    first at ``start``), passing the observation before it as ``previous``."""
-    stab = ArmStabilizer(m, obs_for_joints(reference, start))
+    """A stabilizer entry for ``m`` switched on at ``reference`` on step ``start``,
+    and a function that steps it on one pose per call, each call one step
+    after the last (the first at ``start``), passing the marker observation
+    as ``start`` and the observation before it as ``previous``."""
+    stab, at_marker = ArmStabilizer("hold", m), obs_for_joints(reference, start)
     seen = []
 
     def step(joints):
         obs = obs_for_joints(joints, start + len(seen))
-        act = stab.step(obs, seen[-1] if seen else obs)
+        act = stab.step(obs, at_marker, seen[-1] if seen else obs)
         seen.append(obs)
         return act
 
@@ -236,7 +237,7 @@ def started(m, reference, start=0):
 def test_stabilizer_init_builds_one_corrector_per_joint():
     m = SINGLE_ARM
     stab, step = started(m, (pose(0.1, -0.3),))
-    assert stab.reference == (pose(0.1, -0.3),) and stab.start == 0
+    assert stab == ("hold", m) and stab.index_map is m  # the reference and start are the runner's
     j0, j1 = m.joint_slots[0][0], m.joint_slots[0][1]
     # one channel per joint, each pushing toward its own reference angle
     first = step((pose(0.5, -0.5),))
@@ -247,18 +248,6 @@ def test_stabilizer_init_builds_one_corrector_per_joint():
     step(near)
     second = step(near)
     assert second[j0] == 0.0 and second[j1] != 0.0
-
-
-def test_stabilizer_rejects_empty_or_mismatched_reference():
-    m = SINGLE_ARM
-    with pytest.raises(ValueError):
-        ArmStabilizer(m, obs_for_joints(()))
-    with pytest.raises(ValueError):
-        ArmStabilizer(m, obs_for_joints(((),)))
-    with pytest.raises(ValueError):
-        ArmStabilizer(m, obs_for_joints(((0.1, 0.2, 0.3),)))
-    with pytest.raises(ValueError):
-        ArmStabilizer(m, obs_for_joints((pose() + (0.0,),)))
 
 
 def test_stabilizer_at_reference_fires_once_then_goes_quiet():
@@ -390,15 +379,15 @@ def test_stabilizer_matches_corrector_bank_oracle(m):
 
 def test_stabilizer_misuse_raises():
     m = SINGLE_ARM
-    stab = ArmStabilizer(m, obs_for_joints((pose(),), 5))
+    stab, start = ArmStabilizer("hold", m), obs_for_joints((pose(),), 5)
     at = {step: obs_for_joints((pose(0.3),), step) for step in range(3, 9)}
     with pytest.raises(ValueError, match="started at step 5, got step 4"):
-        stab.step(at[4], at[3])  # before the start
+        stab.step(at[4], start, at[3])  # before the start
     with pytest.raises(ValueError, match="previous observation is step 5, expected 6"):
-        stab.step(at[7], at[5])  # a step skipped
+        stab.step(at[7], start, at[5])  # a step skipped
     with pytest.raises(ValueError, match="previous observation is step 8, expected 6"):
-        stab.step(at[7], at[8])  # out of order
-    assert stab.step(at[5], at[8]) == stab.step(at[5], at[5])  # the start step does not read previous
+        stab.step(at[7], start, at[8])  # out of order
+    assert stab.step(at[5], start, at[8]) == stab.step(at[5], start, at[5])  # the start step does not read previous
 
 
 @pytest.mark.parametrize("config", [None, EnvConfig(disturbance_std=0.05)], ids=["default", "std_0.05"])
@@ -409,11 +398,11 @@ def test_stabilizer_column_recomputes_from_the_log_in_any_order(task, config):
     for seed in range(10):
         records = run_episode(task, plan, config, seed).trajectory
         first = next(i for i, rec in enumerate(records) if rec.subtask_index > marker)
-        stab = ArmStabilizer(TASK_ACTIONS[task], records[first].obs)
-        state = {name: getattr(stab, name) for name in ArmStabilizer.__slots__}
+        stab, start = plan.entries[marker], records[first].obs
+        assert stab.index_map is TASK_ACTIONS[task]
         for i in reversed(range(first, len(records))):
             rec, previous = records[i], records[i - 1 if i > first else i].obs
-            got = stab.step(rec.obs, previous)
+            got = stab.step(rec.obs, start, previous)
             assert repr(got) == repr(rec.stabilizer_action), f"seed {seed} step {i}"
-            assert stab.step(rec.obs, previous) == got
-        assert all(getattr(stab, name) is value for name, value in state.items())
+            assert stab.step(rec.obs, start, previous) == got
+        assert stab == builtin_plan(task).entries[marker]
