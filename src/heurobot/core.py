@@ -56,15 +56,6 @@ def add(a: Action, b: Action) -> Action:
     return tuple(map(operator.add, a, b))
 
 
-def one_hot(dim: int, index: int, value: float) -> Action:
-    """Action with a single nonzero component."""
-    if not 0 <= index < dim:
-        raise ValueError(f"action index {index} out of range for dimension {dim}")
-    out = [0.0] * dim
-    out[index] = value
-    return tuple(out)
-
-
 def is_finite_number(value: object) -> bool:
     """True for an int or float that converts to a finite float; bools are not numbers."""
     return type(value) in (int, float) and abs(value) <= sys.float_info.max

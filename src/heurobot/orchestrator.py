@@ -135,8 +135,9 @@ def run_batch(
     given, receives each full episode as soon as it ends, in the process that
     ran it; it must be picklable when ``jobs > 1``, and an error it raises
     ends the batch. At most ``len(seeds)`` workers are started, and no more
-    than ``os.cpu_count()``, since the pool forks all of them at the first
-    submit; a single worker runs in this process.
+    than the CPUs this process may run on (``os.sched_getaffinity`` where the
+    platform has it, else ``os.cpu_count()``), since the pool forks all of
+    them at the first submit; a single worker runs in this process.
     """
     seeds = [check_seed(s) for s in seeds]
     if not seeds:
@@ -144,7 +145,8 @@ def run_batch(
     if type(jobs) is not int or jobs < 1:
         raise ValueError(f"run_batch requires an integer jobs >= 1, got {jobs!r}")
     job = partial(_episode_job, task_kind, plan, env_config, write)
-    jobs = min(jobs, len(seeds), os.cpu_count() or 1)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    jobs = min(jobs, len(seeds), cpus)
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor  # imported here so serial runs never load it
 

@@ -8,7 +8,8 @@ evaluated once against the first observation of an episode: later object
 motion never retargets a sub-task.
 
 ``parse_plan`` checks a document once into frozen entries; nothing is
-filled in but the task's action layout. There are three entry kinds,
+filled in but the task's action layout and the actions built from it, every
+action a plan can emit. There are three entry kinds,
 ``MoveSteps``, ``MoveTo`` and the ``stabilizer_on`` marker
 ``ArmStabilizer``, and each is its own sub-task controller; ``resolve``
 only evaluates the ``MoveTo`` targets for one episode.
@@ -220,9 +221,8 @@ def parse_plan(doc: object) -> Plan:
             if rule is None:
                 target = float(target)
             velocity, threshold = float(velocity), float(threshold)  # 1 and 1.0 log the same bytes
-            entries.append(
-                MoveTo(label, slot, selector, target, velocity, threshold, index_map.index_of(slot), index_map.dim)
-            )
+            plus, minus = index_map.build({slot: velocity}), index_map.build({slot: -velocity})
+            entries.append(MoveTo(label, slot, selector, target, velocity, threshold, plus, minus))
     return Plan(task_kind, tuple(entries))
 
 

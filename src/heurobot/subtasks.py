@@ -3,9 +3,11 @@
 Two primitives cover every task script: emit a fixed action for a fixed
 number of steps, or drive one selected scalar of the observation toward a
 target by activating exactly one action component at +/-v until the error
-drops below a threshold. The arm stabilizer applies the same bang-bang
-rule to every arm joint at once: a joint inside its band on the previous
-observation and the current one is silent, and re-arms once it drifts out.
+drops below a threshold. Each holds the actions it emits, built once by
+``parse_plan``: ``MoveSteps.vector``, and ``MoveTo.plus`` and ``minus``.
+The arm stabilizer applies the same bang-bang rule to every arm joint at
+once: a joint inside its band on the previous observation and the current
+one is silent, and re-arms once it drifts out.
 All three are frozen plan entries built by ``parse_plan``, each its own
 controller, and none keeps state: the episode runner passes in what ``step``
 reads (a target and the steps taken, or the marker and previous observations).
@@ -18,7 +20,7 @@ from __future__ import annotations
 
 from typing import Callable, NamedTuple
 
-from .core import DUAL_ARM, Action, ActionIndexMap, Observation, midpoint, one_hot
+from .core import DUAL_ARM, Action, ActionIndexMap, Observation, midpoint
 
 
 Selector = Callable[[Observation], float]
@@ -70,10 +72,10 @@ class MoveSteps(NamedTuple):
 class MoveTo(NamedTuple):
     """Drive one observed scalar to a target with a bang-bang one-hot action.
 
-    The emitted action has exactly one nonzero component, at ``index``, with
-    magnitude ``velocity``; its sign follows the sign of the remaining
-    distance. Convergence (|target - x| < threshold) is checked after the
-    emission, mirroring the emit-then-update loop order.
+    It emits ``plus`` (``+velocity`` at ``slot``, every other component zero)
+    while the remaining distance is positive and ``minus`` otherwise; both are
+    built by ``parse_plan``. Convergence (|target - x| < threshold) is checked
+    after the emission, mirroring the emit-then-update loop order.
     """
 
     kind = "move_to"  # a class attribute, not a field
@@ -83,13 +85,13 @@ class MoveTo(NamedTuple):
     target: float | str  # as written; ``step`` takes it evaluated
     velocity: float
     threshold: float
-    index: int  # of ``slot`` in the action vector
-    dim: int  # of the action vector
+    plus: Action  # +velocity at ``slot``
+    minus: Action  # -velocity at ``slot``
 
     def step(self, obs: Observation, target: float, taken: int) -> tuple[Action, bool]:
         """One action toward ``target``, and whether the scalar was already inside the band."""
         d = target - SELECTORS[self.selector](obs)
-        return one_hot(self.dim, self.index, self.velocity if d > 0 else -self.velocity), abs(d) < self.threshold
+        return self.plus if d > 0 else self.minus, abs(d) < self.threshold
 
 
 STABILIZER_GAIN = 0.2  # at the start step, then decays geometrically

@@ -131,7 +131,8 @@ def write_summary(path, batch: BatchResult, config: EnvConfig, plan_source: str,
 
 def _check_summary(doc: object) -> dict:
     """``doc`` if it is a summary document; raises ValueError on schema or type mismatch,
-    an empty ``episodes`` list, or a ``success_rate`` other than its episodes' rate."""
+    an empty ``episodes`` list, an episode ``steps`` that is not an int >= 0, or a
+    ``success_rate`` or ``mean_steps`` other than its episodes' rate or mean."""
     if not _is_schema(doc, "summary"):
         raise ValueError(f"not a schema v{SCHEMA_VERSION} summary file")
     for key in ("task", "success_rate", "mean_steps", "episodes"):
@@ -148,9 +149,19 @@ def _check_summary(doc: object) -> dict:
         raise ValueError("summary 'episodes' is empty")
     if not all(type(e.get("success")) is bool for e in doc["episodes"]):
         raise ValueError("summary episode 'success' must be true or false")
+    if not all(type(e.get("steps")) is int and e["steps"] >= 0 for e in doc["episodes"]):
+        raise ValueError("summary episode 'steps' must be an integer >= 0")
+    n = len(doc["episodes"])
     successes = sum(1 for e in doc["episodes"] if e["success"])
-    if doc["success_rate"] != successes / len(doc["episodes"]):  # exact: the writer divides the same way
-        raise ValueError(f"summary 'success_rate' {doc['success_rate']!r} is not {successes}/{len(doc['episodes'])}")
+    if doc["success_rate"] != successes / n:  # exact: the writer divides the same way
+        raise ValueError(f"summary 'success_rate' {doc['success_rate']!r} is not {successes}/{n}")
+    steps = sum(e["steps"] for e in doc["episodes"])
+    try:
+        consistent = doc["mean_steps"] == steps / n  # exact, as for 'success_rate'
+    except OverflowError:  # a mean past the largest float is not a finite 'mean_steps'
+        consistent = False
+    if not consistent:
+        raise ValueError(f"summary 'mean_steps' {doc['mean_steps']!r} is not {steps}/{n}")
     return doc
 
 

@@ -87,7 +87,8 @@ def test_criterion_2_move_to_fidelity():
         xt = rng.uniform(-2.0, 2.0)
         dim = rng.randint(1, 8)
         idx = rng.randint(0, dim - 1)
-        mt = MoveTo("move_to", "platform_x", "platform_x", xt, v, t, idx, dim)
+        plus, minus = (tuple(s * v if i == idx else 0.0 for i in range(dim)) for s in (1, -1))
+        mt = MoveTo("move_to", "platform_x", "platform_x", xt, v, t, plus, minus)
         x, steps = x0, 0
         ok = True
         done = False
@@ -127,8 +128,8 @@ def _held_load_deviation(seed: int, stabilize: bool) -> float:
         target=target,
         velocity=0.7,
         threshold=0.02,
-        index=imap.index_of("platform_rotation"),
-        dim=imap.dim,
+        plus=imap.build({"platform_rotation": 0.7}),
+        minus=imap.build({"platform_rotation": -0.7}),
     )
     done = False
     while not done:

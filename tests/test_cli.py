@@ -294,6 +294,8 @@ def test_report_skips_malformed_files_with_warnings(tmp_path, capsys):
         "success_int": json.dumps({**doc, "episodes": [{**e, "success": 1} for e in doc["episodes"]]}),
         "episodes_empty": json.dumps({**doc, "episodes": []}),
         "rate_not_the_episodes_rate": json.dumps({**doc, "success_rate": 0.25}),  # no k/2
+        "steps_not_int": json.dumps({**doc, "episodes": [{**e, "steps": "many"} for e in doc["episodes"]]}),
+        "mean_not_the_episodes_mean": json.dumps({**doc, "mean_steps": 999}),
     }
     junk = []
     for name, text in junk_texts.items():

@@ -15,7 +15,6 @@ from heurobot.core import (
     add,
     clamp,
     midpoint,
-    one_hot,
     wrap_angle,
 )
 from heurobot.mockenv import MockEnv
@@ -98,12 +97,6 @@ def test_sum_chain_then_single_clamp_is_in_range():
         assert all(-1.0 <= v <= 1.0 for v in clamp(total))
 
 
-def test_one_hot():
-    assert one_hot(4, 2, -0.5) == (0.0, 0.0, -0.5, 0.0)
-    with pytest.raises(ValueError):
-        one_hot(4, 4, 1.0)
-
-
 def test_wrap_angle_range_and_identity():
     assert wrap_angle(0.0) == 0.0
     assert wrap_angle(math.pi) == pytest.approx(math.pi)
@@ -173,7 +166,7 @@ def test_each_task_has_one_index_map(task):
     m = TASK_ACTIONS[task]
     assert MockEnv(task).index_map is m
     entries = builtin_plan(task).entries
-    assert all(e.dim == m.dim for e in entries if isinstance(e, MoveTo))
+    assert all(len(e.plus) == len(e.minus) == m.dim for e in entries if isinstance(e, MoveTo))
     assert all(len(e.vector) == m.dim for e in entries if isinstance(e, MoveSteps))
 
 

@@ -191,7 +191,8 @@ def test_entry_finishing_on_the_last_allowed_step_ends_the_episode():
 
 
 def test_error_in_an_entry_stops_every_later_entry():
-    broken = MoveTo("broken", "platform_x", "no_such_selector", 0.0, 0.5, 0.01, 0, DOOR_DIM)
+    plus, minus = SINGLE_ARM.build({"platform_x": 0.5}), SINGLE_ARM.build({"platform_x": -0.5})
+    broken = MoveTo("broken", "platform_x", "no_such_selector", 0.0, 0.5, 0.01, plus, minus)
     later = RecordingEntry("later", [])
     result = run_episode("open_cabinet_door", Plan("open_cabinet_door", (idle(2), broken, later)), seed=1)
     assert result.error == "step 2: 'no_such_selector'"
@@ -278,8 +279,13 @@ def test_resolve_error_fails_its_episode_not_the_batch(monkeypatch):
     assert batch.success_rate == pytest.approx(2 / 3)
 
 
+def allow_cpus(monkeypatch, n):
+    """Let this process run on ``n`` CPUs, whatever the host has."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
 def test_batch_parallel_matches_serial(tmp_path, monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # two workers even on a one-CPU host
+    allow_cpus(monkeypatch, 2)  # two workers even on a one-CPU host
     plan = builtin_plan("open_cabinet_door")
     batches, digests = [], []
     for jobs in (1, 2):
@@ -327,7 +333,7 @@ def test_custom_env_config_flows_through():
 @pytest.mark.parametrize("writer", [False, True], ids=["no_writer", "writer"])
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_batch_results_never_carry_trajectories(tmp_path, monkeypatch, jobs, writer):
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # two workers even on a one-CPU host
+    allow_cpus(monkeypatch, 2)  # two workers even on a one-CPU host
     plan = builtin_plan("move_bucket")
     write = functools.partial(record_pid, tmp_path) if writer else None
     batch = run_batch("move_bucket", plan, None, [4, 1, 3], jobs=jobs, write=write)
@@ -343,7 +349,7 @@ def test_writer_receives_each_full_episode():
 
 
 def test_parallel_writer_runs_once_per_seed_and_never_in_the_parent(tmp_path, monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # two workers even on a one-CPU host
+    allow_cpus(monkeypatch, 2)  # two workers even on a one-CPU host
     seeds = [2, 7, 5, 1]
     run_batch("open_cabinet_door", idle_plan(), None, seeds, jobs=2, write=functools.partial(record_pid, tmp_path))
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(f"seed{s}" for s in seeds)
@@ -377,7 +383,7 @@ def recording_pool(monkeypatch):
 
 
 def test_batch_never_starts_more_workers_than_seeds(recording_pool, monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    allow_cpus(monkeypatch, 64)
     run_batch("open_cabinet_door", idle_plan(), None, [1], jobs=64)
     assert recording_pool == []
     batch = run_batch("open_cabinet_door", idle_plan(), None, [1, 2, 3], jobs=64)
@@ -385,9 +391,18 @@ def test_batch_never_starts_more_workers_than_seeds(recording_pool, monkeypatch)
     assert [r.seed for r in batch.results] == [1, 2, 3]
 
 
-@pytest.mark.parametrize("cpus, started", [(2, [2]), (1, []), (None, [])], ids=["two", "one", "unknown"])
-def test_batch_never_starts_more_workers_than_cpus(recording_pool, monkeypatch, cpus, started):
+@pytest.mark.parametrize(
+    "affinity, cpus, started",
+    [(None, 2, [2]), (None, 1, []), (None, None, []), (2, 64, [2]), (1, 2, [])],
+    ids=["two", "one", "unknown", "may_run_on_two_of_64", "may_run_on_one_of_two"],
+)
+def test_batch_never_starts_more_workers_than_cpus(recording_pool, monkeypatch, affinity, cpus, started):
+    # the CPUs this process may run on cap the pool; without that call, the host's count does
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    if affinity is None:  # a platform without sched_getaffinity
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    else:
+        allow_cpus(monkeypatch, affinity)
     batch = run_batch("open_cabinet_door", idle_plan(), None, [1, 2, 3, 4, 5], jobs=100_000)
     assert recording_pool == started
     assert [r.seed for r in batch.results] == [1, 2, 3, 4, 5]

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from heurobot.core import DUAL_ARM, SINGLE_ARM, TASK_KINDS, read_json
+from heurobot.core import DUAL_ARM, SINGLE_ARM, TASK_ACTIONS, TASK_KINDS, read_json
 from heurobot.mockenv import EnvConfig
 from heurobot.orchestrator import run_episode
 from heurobot.plans import (
@@ -217,6 +217,32 @@ def test_bundled_move_to_steps_stay_inside_their_threshold_band(task_kind):
         rotation = entry.slot == "platform_rotation"
         scale = config.angular_velocity_scale if rotation else config.linear_velocity_scale
         assert entry.velocity * scale * config.dt < 2 * entry.threshold, entry.label
+
+
+ONE_ARM_MOVE_TOS = {
+    "task_kind": "open_cabinet_door",
+    "entries": [
+        {"kind": "move_to", "label": "grip", "slot": "left_fingers", "selector": "finger_height",
+         "target": 0.5, "velocity": 1, "threshold": 0.02},
+        {"kind": "move_to", "label": "bend", "slot": "left_arm_joint_7", "selector": "left_arm_joint_7",
+         "target": -0.25, "velocity": 0.125, "threshold": 0.01},
+    ],
+}
+
+
+@pytest.mark.parametrize("task_kind", [*TASK_KINDS, "hand_written_one_arm"])
+def test_parsed_move_to_holds_its_two_one_hot_actions(task_kind):
+    # every action a MoveTo can emit is built at parse time, one-hot at its slot
+    plan = parse_plan(ONE_ARM_MOVE_TOS) if task_kind == "hand_written_one_arm" else builtin_plan(task_kind)
+    index_map = TASK_ACTIONS[plan.task_kind]
+    move_tos = [e for e in plan.entries if isinstance(e, MoveTo)]
+    assert move_tos
+    for entry in move_tos:
+        index = index_map.index_of(entry.slot)
+        for action, value in ((entry.plus, entry.velocity), (entry.minus, -entry.velocity)):
+            assert action == index_map.build({entry.slot: value})
+            assert [i for i, v in enumerate(action) if v != 0.0] == [index]
+            assert action[index] == value
 
 
 def test_load_rejects_unknown_entry_keys_and_kinds():

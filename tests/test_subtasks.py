@@ -21,8 +21,14 @@ def move_steps(vector, steps):
     return MoveSteps("move_steps", steps, vector)
 
 
+def at_index(dim, index, value):
+    """Action with ``value`` at ``index`` and every other component zero."""
+    return tuple(value if i == index else 0.0 for i in range(dim))
+
+
 def move_to(target, index, dim, velocity, threshold, selector="platform_x"):
-    return MoveTo("move_to", "platform_x", selector, target, velocity, threshold, index, dim)
+    plus, minus = at_index(dim, index, velocity), at_index(dim, index, -velocity)
+    return MoveTo("move_to", "platform_x", selector, target, velocity, threshold, plus, minus)
 
 
 def run_entry(entry, target, observe):
@@ -318,7 +324,7 @@ class CorrectorBankOracle:
     """The stabilizer as first written: one re-arming MoveTo corrector per joint."""
 
     def __init__(self, index_map, reference, velocity=0.2, decay=0.995, min_velocity=0.02, threshold=0.01):
-        self.dim = index_map.dim
+        self.index_map = index_map
         self.velocity, self.decay, self.min_velocity = velocity, decay, min_velocity
         self.steps_taken = 0
         self.correctors = [
@@ -329,8 +335,8 @@ class CorrectorBankOracle:
                 target=angle,
                 velocity=velocity,
                 threshold=threshold,
-                index=index_map.index_of(slot),
-                dim=index_map.dim,
+                plus=index_map.build({slot: velocity}),
+                minus=index_map.build({slot: -velocity}),
             )
             for arm, pose in enumerate(reference)
             for joint, angle in enumerate(pose)
@@ -340,13 +346,15 @@ class CorrectorBankOracle:
 
     def step(self, obs):
         g = max(self.velocity * self.decay**self.steps_taken, self.min_velocity)
-        out = [0.0] * self.dim
+        out = [0.0] * self.index_map.dim
         for k, mt in enumerate(self.correctors):
-            act, inside = mt._replace(velocity=g).step(obs, mt.target, 0)
+            gained = mt._replace(plus=self.index_map.build({mt.slot: g}), minus=self.index_map.build({mt.slot: -g}))
+            act, inside = gained.step(obs, mt.target, 0)
             if self.done[k] and inside:
                 continue  # converged and still inside the band
             self.done[k] = inside  # re-arms once the joint drifts out
-            out[mt.index] += act[mt.index]
+            index = self.index_map.index_of(mt.slot)
+            out[index] += act[index]
         self.steps_taken += 1
         return tuple(out)
 
