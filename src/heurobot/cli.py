@@ -74,7 +74,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         write = functools.partial(_write_log, out_dir, config, plan_source)
         summary_path = out_dir / f"{args.task}_summary.json"
         batch = run_batch(args.task, plan, config, seeds, jobs=args.jobs, write=write)
-        write_summary(summary_path, batch, config, plan_source, seeds)
+        row = report_rows([write_summary(summary_path, batch, config, plan_source)])[0]
     except (OSError, ValueError) as e:  # PlanError is a ValueError
         print(f"error: {e}", file=sys.stderr)
         return 2
@@ -83,8 +83,8 @@ def cmd_run(args: argparse.Namespace) -> int:
             status = "ok" if result.success else ("error" if result.error else "fail")
             print(f"seed {result.seed}: {status} in {result.steps} steps")
     print(
-        f"{args.task}: {batch.success_rate:.3f} success rate over {len(seeds)} episodes "
-        f"(mean {batch.mean_steps:.1f} steps) -> {summary_path}"
+        f"{args.task}: {row['success_rate']:.3f} success rate over {row['episodes']} episodes "
+        f"(mean {row['mean_steps']:.1f} steps) -> {summary_path}"
     )
     return 0
 

@@ -56,10 +56,10 @@ class EpisodeResult(NamedTuple):
 
 
 class BatchResult(NamedTuple):
+    """A batch's outcomes, sorted by seed; ``trajlog.report_rows`` derives its rate and mean."""
+
     task_kind: str
     results: tuple[EpisodeResult, ...]
-    success_rate: float
-    mean_steps: float
 
 
 def run_episode(task_kind: str, plan: Plan, env_config: EnvConfig | None = None, seed: int = 0) -> EpisodeResult:
@@ -155,14 +155,7 @@ def run_batch(
     else:
         results = [job(s) for s in seeds]
     results.sort(key=lambda r: r.seed)
-    successes = sum(1 for r in results if r.success)
-    mean_steps = sum(r.steps for r in results) / len(results)
-    return BatchResult(
-        task_kind=task_kind,
-        results=tuple(results),
-        success_rate=successes / len(results),
-        mean_steps=mean_steps,
-    )
+    return BatchResult(task_kind, tuple(results))
 
 
 def replay_actions(

@@ -18,8 +18,8 @@ from __future__ import annotations
 import json
 import marshal
 
-from .core import is_finite_number, loads_json, read_json
-from .mockenv import EnvConfig
+from .core import loads_json, read_json
+from .mockenv import MAX_STEPS, EnvConfig
 from .orchestrator import BatchResult, EpisodeResult
 
 SCHEMA_VERSION = 1
@@ -110,58 +110,48 @@ def read_trajectory(path) -> tuple[dict, list[dict]]:
     return header, records
 
 
-def write_summary(path, batch: BatchResult, config: EnvConfig, plan_source: str, seeds: list[int]) -> None:
+def write_summary(path, batch: BatchResult, config: EnvConfig, plan_source: str) -> dict:
+    """Write the batch's per-seed outcomes to ``path``; returns the document written."""
     payload = {
         "schema_version": SCHEMA_VERSION,
         "kind": "summary",
         "task": batch.task_kind,
         "plan": plan_source,
         "config": config._asdict(),
-        "seeds": seeds,
         "episodes": [
             {"seed": r.seed, "success": r.success, "steps": r.steps, "error": r.error}
             for r in batch.results
         ],
-        "success_rate": batch.success_rate,
-        "mean_steps": batch.mean_steps,
     }
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    return payload
+
+
+_SUMMARY_KEYS = {"schema_version", "kind", "task", "plan", "config", "episodes"}
 
 
 def _check_summary(doc: object) -> dict:
     """``doc`` if it is a summary document; raises ValueError on schema or type mismatch,
-    an empty ``episodes`` list, an episode ``steps`` that is not an int >= 0, or a
-    ``success_rate`` or ``mean_steps`` other than its episodes' rate or mean."""
+    a key other than those ``write_summary`` writes (or one of them missing), an empty
+    ``episodes`` list, or an episode ``steps`` that is not an int in [0, ``MAX_STEPS``]."""
     if not _is_schema(doc, "summary"):
         raise ValueError(f"not a schema v{SCHEMA_VERSION} summary file")
-    for key in ("task", "success_rate", "mean_steps", "episodes"):
-        if key not in doc:
-            raise ValueError(f"summary missing {key!r}")
+    unknown, missing = sorted(set(doc) - _SUMMARY_KEYS), sorted(_SUMMARY_KEYS - set(doc))
+    if unknown:
+        raise ValueError(f"unknown summary keys {unknown}")
+    if missing:
+        raise ValueError(f"summary missing keys {missing}")
     if not isinstance(doc["task"], str):
         raise ValueError("summary 'task' must be a string")
-    for key in ("success_rate", "mean_steps"):
-        if not is_finite_number(doc[key]):
-            raise ValueError(f"summary {key!r} must be a finite number")
     if not isinstance(doc["episodes"], list) or not all(isinstance(e, dict) for e in doc["episodes"]):
         raise ValueError("summary 'episodes' must be a list of objects")
     if not doc["episodes"]:
         raise ValueError("summary 'episodes' is empty")
     if not all(type(e.get("success")) is bool for e in doc["episodes"]):
         raise ValueError("summary episode 'success' must be true or false")
-    if not all(type(e.get("steps")) is int and e["steps"] >= 0 for e in doc["episodes"]):
-        raise ValueError("summary episode 'steps' must be an integer >= 0")
-    n = len(doc["episodes"])
-    successes = sum(1 for e in doc["episodes"] if e["success"])
-    if doc["success_rate"] != successes / n:  # exact: the writer divides the same way
-        raise ValueError(f"summary 'success_rate' {doc['success_rate']!r} is not {successes}/{n}")
-    steps = sum(e["steps"] for e in doc["episodes"])
-    try:
-        consistent = doc["mean_steps"] == steps / n  # exact, as for 'success_rate'
-    except OverflowError:  # a mean past the largest float is not a finite 'mean_steps'
-        consistent = False
-    if not consistent:
-        raise ValueError(f"summary 'mean_steps' {doc['mean_steps']!r} is not {steps}/{n}")
+    if not all(type(e.get("steps")) is int and 0 <= e["steps"] <= MAX_STEPS for e in doc["episodes"]):
+        raise ValueError(f"summary episode 'steps' must be an integer in [0, {MAX_STEPS}]")
     return doc
 
 
@@ -171,17 +161,24 @@ def read_summary(path) -> dict:
 
 
 def report_rows(summaries: list[dict]) -> list[dict]:
-    """One row per summary: ``task``, ``episodes``, ``successes``, ``success_rate``, ``mean_steps``."""
-    return [
-        {
-            "task": doc["task"],
-            "episodes": len(doc["episodes"]),
-            "successes": sum(1 for e in doc["episodes"] if e["success"]),
-            "success_rate": doc["success_rate"],
-            "mean_steps": doc["mean_steps"],
-        }
-        for doc in summaries
-    ]
+    """One row per summary: ``task``, ``episodes``, ``successes``, ``success_rate``, ``mean_steps``.
+
+    A summary stores per-seed outcomes only; this is the one place a batch's
+    success rate and mean steps are computed from them."""
+    rows = []
+    for doc in summaries:
+        episodes = doc["episodes"]
+        successes = sum(1 for e in episodes if e["success"])
+        rows.append(
+            {
+                "task": doc["task"],
+                "episodes": len(episodes),
+                "successes": successes,
+                "success_rate": successes / len(episodes),
+                "mean_steps": sum(e["steps"] for e in episodes) / len(episodes),
+            }
+        )
+    return rows
 
 
 def format_report_table(rows: list[dict]) -> str:

@@ -1,5 +1,4 @@
 import json
-import math
 import os
 import random
 import re
@@ -73,8 +72,9 @@ def test_run_writes_logs_and_summary(tmp_path, capsys):
     assert len(logs) == 10
     summary = read_summary(out / "open_cabinet_drawer_summary.json")
     assert summary["task"] == "open_cabinet_drawer"
-    assert len(summary["episodes"]) == 10
-    assert 0.0 <= summary["success_rate"] <= 1.0
+    assert set(summary) == {"schema_version", "kind", "task", "plan", "config", "episodes"}
+    assert [e["seed"] for e in summary["episodes"]] == list(range(1, 11))
+    assert 0.0 <= report_rows([summary])[0]["success_rate"] <= 1.0
     header, records = read_trajectory(sorted(logs)[0])
     assert header["task"] == "open_cabinet_drawer"
     assert len(records) == header["steps"]
@@ -253,13 +253,39 @@ def test_report_table_and_machine_formats(tmp_path, capsys):
     assert main(["report", summary, "--format", "machine"]) == 0
     payload = json.loads(capsys.readouterr().out)
     doc = read_summary(summary)
+    successes = sum(1 for e in doc["episodes"] if e["success"])
     assert payload["tasks"][0] == {
         "task": "push_chair",
         "episodes": 4,
-        "successes": sum(1 for e in doc["episodes"] if e["success"]),
-        "success_rate": doc["success_rate"],
-        "mean_steps": doc["mean_steps"],
+        "successes": successes,
+        "success_rate": successes / 4,
+        "mean_steps": sum(e["steps"] for e in doc["episodes"]) / 4,
     }
+
+
+def test_run_line_and_report_derive_one_rate_and_mean_from_mixed_outcomes(tmp_path, capsys):
+    # At max_steps 85 some door seeds succeed and the rest hit the step cap.
+    config = tmp_path / "short.json"
+    config.write_text('{"max_steps": 85}', encoding="utf-8")
+    out = tmp_path / "runs"
+    argv = ["run", "--task", "open_cabinet_door", "--seeds", "0..6", "--config", str(config), "--out", str(out)]
+    assert main(argv) == 0
+    *episode_lines, run_line = capsys.readouterr().out.splitlines()
+    outcomes = [re.fullmatch(r"seed \d+: (ok|fail) in (\d+) steps", line).groups() for line in episode_lines]
+    n = len(outcomes)
+    successes = sum(1 for status, _ in outcomes if status == "ok")
+    steps = sum(int(count) for _, count in outcomes)
+    assert n == 7 and 0 < successes < n
+
+    summary = out / "open_cabinet_door_summary.json"
+    assert main(["report", str(summary), "--format", "machine"]) == 0
+    (row,) = json.loads(capsys.readouterr().out)["tasks"]
+    assert (row["episodes"], row["successes"]) == (n, successes)
+    assert (row["success_rate"], row["mean_steps"]) == (successes / n, steps / n)
+    assert run_line == (
+        f"open_cabinet_door: {successes / n:.3f} success rate over {n} episodes "
+        f"(mean {steps / n:.1f} steps) -> {summary}"
+    )
 
 
 def test_report_over_all_four_tasks_is_a_four_row_table(tmp_path, capsys):
@@ -286,16 +312,15 @@ def test_report_skips_malformed_files_with_warnings(tmp_path, capsys):
         "nested_too_deep": "[" * 100000,
         "episode_not_object": json.dumps({**doc, "episodes": [1]}),
         "episodes_not_list": json.dumps({**doc, "episodes": 5}),
-        "rate_not_number": json.dumps({**doc, "success_rate": "a"}),
-        "steps_not_finite": json.dumps({**doc, "mean_steps": math.nan}),
+        "legacy_aggregates": json.dumps({**doc, "success_rate": 1.0, "mean_steps": 85.5, "seeds": [1, 2]}),
+        "missing_plan": json.dumps({k: v for k, v in doc.items() if k != "plan"}),
         "task_not_string": json.dumps({**doc, "task": 7}),
         "schema_version_true": json.dumps({**doc, "schema_version": True}),
         "success_string": json.dumps({**doc, "episodes": [{**e, "success": "false"} for e in doc["episodes"]]}),
         "success_int": json.dumps({**doc, "episodes": [{**e, "success": 1} for e in doc["episodes"]]}),
         "episodes_empty": json.dumps({**doc, "episodes": []}),
-        "rate_not_the_episodes_rate": json.dumps({**doc, "success_rate": 0.25}),  # no k/2
         "steps_not_int": json.dumps({**doc, "episodes": [{**e, "steps": "many"} for e in doc["episodes"]]}),
-        "mean_not_the_episodes_mean": json.dumps({**doc, "mean_steps": 999}),
+        "steps_past_max_steps": json.dumps({**doc, "episodes": [{**e, "steps": 10**400} for e in doc["episodes"]]}),
     }
     junk = []
     for name, text in junk_texts.items():
@@ -310,6 +335,8 @@ def test_report_skips_malformed_files_with_warnings(tmp_path, capsys):
     assert captured.err.count("warning: skipping") == len(junk)
     for path in junk:  # each skipped file is named once
         assert captured.err.count(path) == 1
+    (legacy,) = [line for line in captured.err.splitlines() if "legacy_aggregates" in line]
+    assert "'mean_steps'" in legacy and "'success_rate'" in legacy
 
     for path in junk:
         rc = main(["report", path])
