@@ -5,8 +5,11 @@
 
 ``run`` executes seeded episodes and writes one trajectory log per episode
 plus a summary document; its exit status says whether the tool ran, not
-whether the manipulation succeeded. ``report`` turns summary files into a
-per-task table (or a machine-readable aggregate with ``--format machine``).
+whether the manipulation succeeded: it is 2, with one ``error:`` line, for a
+bad ``--seeds``, ``--jobs``, plan or config, or an output it cannot write.
+``report`` turns summary files into a per-task table (or a machine-readable
+aggregate with ``--format machine``); it skips each file ``read_summary``
+rejects with one ``warning:`` line, and exits 1 when none is left.
 The output directory defaults to $HEUROBOT_OUT, then ``runs``.
 """
 

@@ -9,7 +9,7 @@ consumes and the log records that same action. ``MockEnv.step`` takes a
 tuple or a list of one int or float per action dimension (other number
 types are unsupported; a bool passes as 0 or 1) and rejects any other
 container, a set, str or bytes included; it saturates nothing and rejects
-any component outside [-1, +1], NaN and inf included.
+any component outside [-1, +1], NaN and inf included, before any state moves.
 
 An ``Observation`` is one immutable snapshot per step. It and its parts,
 ``RobotState`` and ``ObjectAttributes``, are named tuples that only the

@@ -108,7 +108,10 @@ class EnvConfig(_EnvConfigFields):
     actions in [-1, 1], one step then moves the platform at most
     ``FIELD_MAX**2`` m and a joint at most ``FIELD_MAX**2 + 3 * FIELD_MAX``
     rad, so no episode leaves the finite floats and nothing downstream
-    checks for them again.
+    checks for them again. The fields are checked however a config is built
+    (the constructor, ``_replace``, ``_make``, unpickling or ``copy``), and an
+    error names the first field outside the envelope, in field order.
+    ``from_mapping`` also rejects a key that is not a field.
     """
 
     __slots__ = ()

@@ -126,7 +126,8 @@ PlanEntry = ArmStabilizer | MoveSteps | MoveTo
 
 
 class Plan(NamedTuple):
-    """Ordered sub-task list for one task kind, as built by ``parse_plan``."""
+    """Ordered sub-task list for one task kind, as built by ``parse_plan``;
+    one built by hand skips every check ``parse_plan`` makes."""
 
     task_kind: str
     entries: tuple[PlanEntry, ...]
@@ -140,8 +141,10 @@ def parse_plan(doc: object) -> Plan:
     exactly its kind's fields, with the JSON types they need (numbers finite
     and not bools, ``steps`` an integer >= 1), names slots and joints of the
     task's robot and known selectors, and uses goal-point targets only on
-    tasks that have a goal point. Every number but ``steps`` is stored as a
-    float.
+    tasks that have a goal point. ``schema_version``, if present, is the int
+    1; a ``label`` is a non-empty string; ``target_edge_*`` needs a finite
+    ``:D``; a plan has at most one ``stabilizer_on`` marker. Every number but
+    ``steps`` is stored as a float.
     """
     if not isinstance(doc, dict):
         raise PlanError("plan document must be a JSON object")

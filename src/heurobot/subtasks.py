@@ -11,6 +11,8 @@ one is silent, and re-arms once it drifts out.
 All three are frozen plan entries built by ``parse_plan``, each its own
 controller, and none keeps state: the episode runner passes in what ``step``
 reads (a target and the steps taken, or the marker and previous observations).
+Nor does any check what it reads: ``EnvConfig``'s envelope keeps every
+observation finite.
 
 Both primitives deliberately emit before they evaluate their done flag, so
 even an already-converged controller produces exactly one action.

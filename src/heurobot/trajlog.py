@@ -83,7 +83,8 @@ def _is_schema(doc: object, kind: str) -> bool:
 
 
 def read_trajectory(path) -> tuple[dict, list[dict]]:
-    """Returns (header, records); records are framed on ``\\n`` alone, blank lines skipped.
+    """Returns (header, records); records are framed on ``\\n`` alone (a ``\\r``
+    before it is dropped), blank lines skipped.
 
     Raises ValueError on schema mismatch, a record that is not UTF-8 JSON (a
     syntax error names its line and column in the file), a header ``task``

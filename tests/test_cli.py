@@ -100,18 +100,6 @@ def test_run_rejects_plan_for_wrong_task(tmp_path, capsys):
     assert rc != 0
 
 
-def test_run_prints_the_readme_entry_error_example(tmp_path, monkeypatch, capsys):
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    section = readme.split("## Plan documents", 1)[1]
-    doc = json.loads(re.search(r"```json\n(.*?)```", section, re.S).group(1))
-    del doc["entries"][1]["threshold"]  # "the example above without its `threshold`"
-    (tmp_path / "my_plan.json").write_text(json.dumps(doc), encoding="utf-8")
-    monkeypatch.chdir(tmp_path)
-    assert main(["run", "--task", doc["task_kind"], "--plan", "my_plan.json", "--seeds", "0", "--out", "o"]) == 2
-    example = re.search(r"an entry error is a `PlanError` such as `(error:\s[^`]*)`", section).group(1)
-    assert capsys.readouterr().err == " ".join(example.split()) + "\n"
-
-
 def test_run_accepts_plan_file(tmp_path):
     plan_path = Path(PLAN_DATA_DIR) / "push_chair.json"
     out = tmp_path / "o"

@@ -102,14 +102,6 @@ def test_builtin_plan_is_a_hashable_value(task_kind):
     assert builtin_plan(task_kind) == plan
 
 
-def test_readme_plan_example_loads():
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    section = readme.split("## Plan documents", 1)[1]
-    example = re.search(r"```json\n(.*?)```", section, re.S).group(1)
-    plan = parse_plan(json.loads(example))
-    assert [e.kind for e in plan.entries] == ["move_steps", "move_to", "stabilizer_on"]
-
-
 # ---------------------------------------------------------------- loading
 
 
