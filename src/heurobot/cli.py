@@ -5,8 +5,8 @@
 
 ``run`` executes seeded episodes and writes one trajectory log per episode
 plus a summary document; its exit status says whether the tool ran, not
-whether the manipulation succeeded: it is 2, with one ``error:`` line, for a
-bad ``--seeds``, ``--jobs``, plan or config, or an output it cannot write.
+whether the manipulation succeeded: it is 2, with one ``error:`` line, for
+any bad argument, plan or config, or an output it cannot write.
 ``report`` turns summary files into a per-task table (or a machine-readable
 aggregate with ``--format machine``); it skips each file ``read_summary``
 rejects with one ``warning:`` line, and exits 1 when none is left.
@@ -115,8 +115,16 @@ def cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad argument as one ``error:`` line; subparsers inherit the class."""
+
+    def error(self, message: str) -> None:
+        print(f"error: {message}", file=sys.stderr)
+        raise SystemExit(2)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="heurobot", description=__doc__.strip().splitlines()[0])
+    parser = _Parser(prog="heurobot", description=__doc__.strip().splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_p = sub.add_parser("run", help="run seeded episodes and write logs")

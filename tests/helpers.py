@@ -1,4 +1,4 @@
-"""Observation builders and input fuzzers shared by the test modules."""
+"""Observation builders, reference tables, oracles and input fuzzers shared by the test modules."""
 
 import copy
 import math
@@ -61,6 +61,41 @@ def make_obs(robot=None, obj=None, step_index=0):
         object=obj if obj is not None else door_attributes(),
         step_index=step_index,
     )
+
+
+# builtin plan per task: executable kind sequence, stabilizer_on marker position (None = no stabilizer)
+PLAN_SHAPE = {
+    "open_cabinet_door": (
+        ["move_steps", "move_to", "move_to", "move_to", "move_to", "move_steps", "move_steps"],
+        None,
+    ),
+    "open_cabinet_drawer": (
+        ["move_steps", "move_to", "move_to", "move_to", "move_to", "move_steps", "move_steps"],
+        None,
+    ),
+    "move_bucket": (
+        ["move_steps", "move_to", "move_steps", "move_steps", "move_to", "move_to", "move_to", "move_steps"],
+        3,
+    ),
+    "push_chair": (
+        ["move_steps", "move_to", "move_steps", "move_to", "move_to"],
+        3,
+    ),
+}
+
+
+def euler_steps(x0, xt, v, t, delta):
+    """Independent brute-force transcription of the bang-bang loop."""
+    x = x0
+    steps = 0
+    while True:
+        d = xt - x
+        a = v if d > 0 else -v
+        steps += 1
+        done = abs(d) < t
+        x = x + a * delta
+        if done:
+            return steps
 
 
 # JSON values of every type, including ones a reader must not take for numbers

@@ -17,7 +17,7 @@ from heurobot.orchestrator import replay_actions, run_episode
 from heurobot.plans import builtin_plan
 from heurobot.subtasks import ArmStabilizer, MoveSteps, MoveTo
 
-from helpers import make_obs, robot_state
+from helpers import PLAN_SHAPE, euler_steps, make_obs, robot_state
 
 TASKS = ("open_cabinet_door", "open_cabinet_drawer", "move_bucket", "push_chair")
 SEEDS = list(range(1, 101))
@@ -62,18 +62,6 @@ def test_criterion_1_move_steps_fidelity():
 # ---------------------------------------------------------------- criterion 2
 
 
-def _oracle_steps(x0, xt, v, t, delta):
-    x, steps = x0, 0
-    while True:
-        d = xt - x
-        a = v if d > 0 else -v
-        steps += 1
-        done = abs(d) < t
-        x += a * delta
-        if done:
-            return steps
-
-
 def test_criterion_2_move_to_fidelity():
     rng = random.Random(10002)
     violations = 0
@@ -103,7 +91,7 @@ def test_criterion_2_move_to_fidelity():
                 ok = False
                 break
         bound = max(math.ceil((abs(xt - x0) - t) / (v * delta)), 0) + 1
-        if not ok or steps > bound or steps != _oracle_steps(x0, xt, v, t, delta):
+        if not ok or steps > bound or steps != euler_steps(x0, xt, v, t, delta):
             violations += 1
     _report(2, "MoveTo fidelity", violations == 0, f"{violations} violations over 1000 cases")
 
@@ -190,18 +178,12 @@ def test_criterion_4_end_to_end_success(endtoend):
 
 
 def test_criterion_5_plan_fidelity():
-    expected = {
-        "open_cabinet_door": (["move_steps", "move_to", "move_to", "move_to", "move_to", "move_steps", "move_steps"], 0),
-        "open_cabinet_drawer": (["move_steps", "move_to", "move_to", "move_to", "move_to", "move_steps", "move_steps"], 0),
-        "move_bucket": (["move_steps", "move_to", "move_steps", "move_steps", "move_to", "move_to", "move_to", "move_steps"], 1),
-        "push_chair": (["move_steps", "move_to", "move_steps", "move_to", "move_to"], 1),
-    }
     mismatches = []
-    for task, (kinds, markers) in expected.items():
+    for task, (kinds, marker) in PLAN_SHAPE.items():
         plan = builtin_plan(task)
         got_kinds = [e.kind for e in plan.entries if e.kind != "stabilizer_on"]
         got_markers = sum(1 for e in plan.entries if e.kind == "stabilizer_on")
-        if got_kinds != kinds or got_markers != markers:
+        if got_kinds != kinds or got_markers != (0 if marker is None else 1):
             mismatches.append(task)
     _report(5, "plan fidelity", not mismatches, f"mismatches: {mismatches or 'none'}")
 

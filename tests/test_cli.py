@@ -83,23 +83,6 @@ def test_run_writes_logs_and_summary(tmp_path, capsys):
     assert "success rate" in capsys.readouterr().out
 
 
-def test_run_missing_plan_file_exits_nonzero_without_partial_output(tmp_path, capsys):
-    out = tmp_path / "runs"
-    rc = main([
-        "run", "--task", "push_chair", "--plan", str(tmp_path / "no_such_plan.json"),
-        "--seeds", "1..3", "--out", str(out),
-    ])
-    assert rc != 0
-    assert not out.exists()
-    assert "error" in capsys.readouterr().err
-
-
-def test_run_rejects_plan_for_wrong_task(tmp_path, capsys):
-    plan_path = Path(PLAN_DATA_DIR) / "move_bucket.json"
-    rc = main(["run", "--task", "push_chair", "--plan", str(plan_path), "--seeds", "1", "--out", str(tmp_path / "o")])
-    assert rc != 0
-
-
 def test_run_accepts_plan_file(tmp_path):
     plan_path = Path(PLAN_DATA_DIR) / "push_chair.json"
     out = tmp_path / "o"
@@ -217,15 +200,6 @@ def test_worst_corner_config_logs_only_finite_numbers(tmp_path, task, plan):
     assert [(e["steps"], e["error"]) for e in summary["episodes"]] == [(500, None)] * 2
     for log in (tmp_path / "o").iterdir():
         assert not re.search(rb"NaN|Infinity", log.read_bytes()), log.name
-
-
-def test_bad_env_config_key_fails_fast(tmp_path, capsys):
-    config_path = tmp_path / "config.json"
-    config_path.write_text(json.dumps({"friction": 0.5}), encoding="utf-8")
-    rc = main(["run", "--task", "open_cabinet_door", "--seeds", "1", "--config", str(config_path),
-               "--out", str(tmp_path / "o")])
-    assert rc != 0
-    assert "friction" in capsys.readouterr().err
 
 
 def test_report_table_and_machine_formats(tmp_path, capsys):
@@ -505,6 +479,12 @@ def test_report_rejects_trajectory_files(tmp_path, capsys):
         (None, {"disturbance_std": 1e307}, []),
         (None, {"dt": 100.0000001}, []),
         (None, {"max_steps": 10**6 + 1}, []),
+        (None, None, ["--task", "nope"]),
+        (None, None, ["--jobs", "two"]),
+        (None, None, ["--bogus"]),
+        (None, None, ["--task", "push_chair", "--plan", "{no_plan}", "--seeds", "1..3"]),
+        (None, None, ["--task", "push_chair", "--plan", str(Path(PLAN_DATA_DIR) / "move_bucket.json")]),
+        (None, {"friction": 0.5}, []),
     ],
     ids=[
         "string_steps", "door_goal_point_target", "string_dt", "zero_jobs", "config_nested_too_deep",
@@ -514,17 +494,23 @@ def test_report_rejects_trajectory_files(tmp_path, capsys):
         "plan_not_utf8", "config_not_utf8", "linear_step_overflows", "angular_step_overflows",
         "noise_bound_overflows", "seed_not_an_integer", "platform_overflows_over_an_episode",
         "joints_overflow_over_an_episode", "dt_past_envelope", "max_steps_past_envelope",
+        "unknown_task", "jobs_not_an_integer", "unknown_option", "missing_plan_file", "plan_for_another_task",
+        "unknown_config_key",
     ],
 )
 def test_run_rejects_bad_input_with_one_error_line(tmp_path, entry_edit, config, extra):
     out = tmp_path / "o"
     taken = tmp_path / "taken"
     taken.write_text("not a directory\n", encoding="utf-8")
+    no_plan = tmp_path / "no_such_plan.json"
     # output directories in which a path the run writes already exists as a directory
     log_is_a_dir, summary_is_a_dir = tmp_path / "log_is_a_dir", tmp_path / "summary_is_a_dir"
     (log_is_a_dir / "open_cabinet_door_seed00001.jsonl").mkdir(parents=True)
     (summary_is_a_dir / "open_cabinet_door_summary.json").mkdir(parents=True)
-    extra = [arg.format(taken=taken, log_is_a_dir=log_is_a_dir, summary_is_a_dir=summary_is_a_dir) for arg in extra]
+    extra = [
+        arg.format(taken=taken, no_plan=no_plan, log_is_a_dir=log_is_a_dir, summary_is_a_dir=summary_is_a_dir)
+        for arg in extra
+    ]
     argv = ["run", "--task", "open_cabinet_door", "--seeds", "1", "--out", str(out), "--quiet", *extra]
     plan_path, config_path = tmp_path / "plan.json", tmp_path / "config.json"
     if isinstance(entry_edit, bytes):  # the plan file's raw bytes
@@ -549,5 +535,7 @@ def test_run_rejects_bad_input_with_one_error_line(tmp_path, entry_edit, config,
         assert proc.stderr.startswith(f"error: {plan_path}: ")
     if config is not None:  # a config file that does not decode or check names its file first
         assert proc.stderr.startswith(f"error: {config_path}: ")
+    if str(no_plan) in extra:  # a plan file that does not open is named too
+        assert no_plan.name in proc.stderr
     assert not out.exists()
     assert taken.read_text(encoding="utf-8") == "not a directory\n"

@@ -116,12 +116,7 @@ def test_action_dims_for_each_layout():
     assert DUAL_ARM.dim == 22
 
 
-def test_index_map_arm_set_validation():
-    with pytest.raises(ValueError):
-        ActionIndexMap(())
-    with pytest.raises(ValueError):
-        ActionIndexMap(("middle",))
-    # the joint count is a class constant, not a setting
+def test_index_map_joint_count_is_a_class_constant_not_a_setting():
     with pytest.raises(TypeError):
         ActionIndexMap(joints_per_arm=2)
 
@@ -144,8 +139,8 @@ def test_records_carry_no_unread_fields():
 
 @pytest.mark.parametrize(
     "arms",
-    [("left", "left"), ("right",), ("right", "left"), ("left", "right", "right")],
-    ids=["left_left", "right_only", "right_left", "left_right_right"],
+    [(), ("middle",), ("left", "left"), ("right",), ("right", "left"), ("left", "right", "right")],
+    ids=["no_arms", "middle", "left_left", "right_only", "right_left", "left_right_right"],
 )
 def test_index_map_rejects_arm_sets_the_stack_cannot_serve(arms):
     # duplicate arms would share slot names; a lone right arm would be read at index 1

@@ -612,7 +612,7 @@ def test_fuzzed_env_configs_parse_or_raise_value_error():
 
 
 def test_env_config_rejects_unknown_keys_and_bad_values():
-    with pytest.raises(ValueError, match="unknown"):
+    with pytest.raises(ValueError, match=r"^unknown environment config keys: \['gravity'\]$"):
         EnvConfig.from_mapping({"gravity": 9.8})
     with pytest.raises(ValueError):
         EnvConfig(dt=0.0)

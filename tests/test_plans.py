@@ -23,36 +23,15 @@ from heurobot.plans import (
 from heurobot.subtasks import ArmStabilizer, MoveSteps, MoveTo
 from heurobot.trajlog import trajectory_lines
 
-from helpers import bucket_attributes, chair_attributes, door_attributes, make_obs, robot_state
+from helpers import PLAN_SHAPE, bucket_attributes, chair_attributes, door_attributes, make_obs, robot_state
 
 
 # ------------------------------------------------------------ builtin shape
 
-EXPECTED_SHAPE = {
-    # executable kind sequence, marker position (None = no stabilizer)
-    "open_cabinet_door": (
-        ["move_steps", "move_to", "move_to", "move_to", "move_to", "move_steps", "move_steps"],
-        None,
-    ),
-    "open_cabinet_drawer": (
-        ["move_steps", "move_to", "move_to", "move_to", "move_to", "move_steps", "move_steps"],
-        None,
-    ),
-    "move_bucket": (
-        ["move_steps", "move_to", "move_steps", "move_steps", "move_to", "move_to", "move_to", "move_steps"],
-        3,
-    ),
-    "push_chair": (
-        ["move_steps", "move_to", "move_steps", "move_to", "move_to"],
-        3,
-    ),
-}
-
-
 @pytest.mark.parametrize("task_kind", TASK_KINDS)
 def test_builtin_plan_entry_counts_and_kinds(task_kind):
     plan = builtin_plan(task_kind)
-    expected_kinds, marker_pos = EXPECTED_SHAPE[task_kind]
+    expected_kinds, marker_pos = PLAN_SHAPE[task_kind]
     executable = [e.kind for e in plan.entries if e.kind != "stabilizer_on"]
     assert executable == expected_kinds
     markers = [i for i, e in enumerate(plan.entries) if e.kind == "stabilizer_on"]

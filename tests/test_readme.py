@@ -16,8 +16,6 @@ import re
 import shlex
 from pathlib import Path
 
-import pytest
-
 from heurobot.cli import MAX_SEEDS, main
 from heurobot.core import DUAL_ARM, PLATFORM_SLOTS, ActionIndexMap
 from heurobot.mockenv import FIELD_MAX, MAX_STEPS, EnvConfig
@@ -88,7 +86,7 @@ class Runner:
         try:
             rc = main(argv)
         except SystemExit as e:  # argparse rejected the line
-            pytest.fail(f"{line!r} exits {e.code}: {self.capsys.readouterr().err}")
+            rc = e.code
         return rc, self.capsys.readouterr().err.splitlines()
 
     def python(self, line: int, arg: str, text: str) -> None:

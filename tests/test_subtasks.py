@@ -10,7 +10,7 @@ from heurobot.orchestrator import run_episode
 from heurobot.plans import builtin_plan
 from heurobot.subtasks import SELECTORS, STABILIZER_GAIN, ArmStabilizer, MoveSteps, MoveTo
 
-from helpers import make_obs, robot_state
+from helpers import euler_steps, make_obs, robot_state
 
 
 def obs_at(x):
@@ -57,17 +57,6 @@ def test_move_steps_single_step():
     assert act == (0.1,) and done
 
 
-def test_move_steps_emission_is_constant():
-    rng = random.Random(21)
-    obs = obs_at(0.0)
-    for _ in range(100):
-        dim = rng.randint(1, 22)
-        a = tuple(rng.uniform(-1, 1) for _ in range(dim))
-        n = rng.randint(1, 50)
-        outputs = run_entry(move_steps(a, n), None, lambda _: obs)
-        assert outputs == [a] * n
-
-
 # ------------------------------------------------------------------ MoveTo
 
 
@@ -103,20 +92,6 @@ def test_move_to_nan_selector_output_steps_negative_and_never_converges():
     assert mt.step(obs_at(math.nan), 0.0, 0) == ((0.0, -0.5, 0.0), False)
 
 
-def _euler_loop_oracle(x0, xt, v, t, delta):
-    """Independent brute-force transcription of the bang-bang loop."""
-    x = x0
-    steps = 0
-    while True:
-        d = xt - x
-        a = v if d > 0 else -v
-        steps += 1
-        done = abs(d) < t
-        x = x + a * delta
-        if done:
-            return steps
-
-
 def _run_move_to(x0, xt, v, t, delta, max_steps=100000):
     def observe(actions):
         assert len(actions) <= max_steps
@@ -130,7 +105,7 @@ def _run_move_to(x0, xt, v, t, delta, max_steps=100000):
 def test_move_to_random_walk_convergence_bound():
     # x0=0, xt=1, v=1, t=0.05, delta=0.02: bound is ceil(0.95/0.02)+1 = 49
     steps = _run_move_to(0.0, 1.0, 1.0, 0.05, 0.02)
-    assert steps == _euler_loop_oracle(0.0, 1.0, 1.0, 0.05, 0.02)
+    assert steps == euler_steps(0.0, 1.0, 1.0, 0.05, 0.02)
     assert steps <= 49
 
 
@@ -145,7 +120,7 @@ def test_move_to_matches_oracle_and_bound_on_random_cases():
         x0 = rng.uniform(-2, 2)
         xt = rng.uniform(-2, 2)
         steps = _run_move_to(x0, xt, v, t, delta)
-        assert steps == _euler_loop_oracle(x0, xt, v, t, delta)
+        assert steps == euler_steps(x0, xt, v, t, delta)
         bound = max(math.ceil((abs(xt - x0) - t) / (v * delta)), 0) + 1
         assert steps <= bound
 
