@@ -130,7 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="run seeded episodes and write logs")
     run_p.add_argument("--task", required=True, choices=TASK_KINDS)
     run_p.add_argument("--plan", default="builtin", help="'builtin' or a plan document path")
-    run_p.add_argument("--seeds", default="0", help="N, A..B (inclusive) or comma list")
+    run_p.add_argument("--seeds", default="0", help="N, A..B (inclusive) or comma list; negative: --seeds=-3..-1")
     run_p.add_argument("--config", default=None, help="environment config JSON")
     run_p.add_argument("--out", default=os.environ.get("HEUROBOT_OUT", "runs"), help="output directory")
     run_p.add_argument("--jobs", type=int, default=1, help="parallel episode workers")

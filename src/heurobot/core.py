@@ -102,41 +102,24 @@ def wrap_angle(angle: float) -> float:
 READY_POSE = (0.0, 1.21191, -1.71442, 0.0, -0.35, 0.0, 0.25, 0.0)
 
 
-class ActionIndexMap:
+class ActionIndexMap(NamedTuple):
     """Bijection between named command slots and action vector indices.
 
     ``arms`` is ``("left",)`` or ``("left", "right")``: joint selectors read
-    the left arm at index 0 and the right arm at index 1, and slot names
-    must be distinct. Slot names: the four platform slots, then per arm
-    ``<arm>_arm_joint_<j>`` followed by ``<arm>_fingers`` (positive = close,
-    negative = open). ``joint_slots`` holds each arm's joint slot indices and
-    ``finger_slots`` each arm's finger slot index. The stack uses only the
-    two prebuilt maps ``SINGLE_ARM`` and ``DUAL_ARM``, and a map pickles and
-    copies as one of them, by name.
+    the left arm at index 0 and the right arm at index 1. Slot names: the
+    four platform slots, then per arm ``<arm>_arm_joint_<j>`` followed by
+    ``<arm>_fingers`` (positive = close, negative = open). ``joint_slots``
+    holds each arm's joint slot indices and ``finger_slots`` each arm's
+    finger slot index. The stack uses only the two layouts ``SINGLE_ARM``
+    and ``DUAL_ARM``; a layout is a plain value, so it pickles, copies and
+    compares by its fields.
     """
 
-    __slots__ = ("arms", "slots", "joint_slots", "finger_slots", "_index")
-    joints_per_arm = len(READY_POSE)  # every arm's joint count: a class constant, not a setting
-
-    def __init__(self, arms: tuple[str, ...]) -> None:
-        if arms not in (("left",), ("left", "right")):
-            raise ValueError(f"invalid arm set {arms!r}; expected ('left',) or ('left', 'right')")
-        names = list(PLATFORM_SLOTS)
-        joint_slots, finger_slots = [], []
-        for arm in arms:
-            joint_slots.append(tuple(range(len(names), len(names) + self.joints_per_arm)))
-            names.extend(f"{arm}_arm_joint_{j}" for j in range(self.joints_per_arm))
-            finger_slots.append(len(names))
-            names.append(f"{arm}_fingers")
-        self.arms = arms
-        self.slots = tuple(names)
-        self.joint_slots = tuple(joint_slots)
-        self.finger_slots = tuple(finger_slots)
-        self._index = {name: i for i, name in enumerate(names)}
-
-    def __reduce__(self) -> str:
-        # pickle and copy resolve a map to this module's own object by name
-        return "DUAL_ARM" if len(self.arms) == 2 else "SINGLE_ARM"
+    arms: tuple[str, ...]
+    slots: tuple[str, ...]
+    joint_slots: tuple[tuple[int, ...], ...]
+    finger_slots: tuple[int, ...]
+    joints_per_arm = len(READY_POSE)  # every arm's joint count: a class constant, not a field
 
     @property
     def robot(self) -> "ActionIndexMap":
@@ -149,8 +132,8 @@ class ActionIndexMap:
 
     def index_of(self, name: str) -> int:
         try:
-            return self._index[name]
-        except KeyError:
+            return self.slots.index(name)
+        except ValueError:
             raise KeyError(f"unknown action slot {name!r}") from None
 
     def build(self, assignments: dict[str, float]) -> Action:
@@ -161,8 +144,19 @@ class ActionIndexMap:
         return tuple(out)
 
 
-SINGLE_ARM = ActionIndexMap(("left",))
-DUAL_ARM = ActionIndexMap(("left", "right"))
+def _layout(arms: tuple[str, ...]) -> ActionIndexMap:
+    names = list(PLATFORM_SLOTS)
+    joint_slots, finger_slots = [], []
+    for arm in arms:
+        joint_slots.append(tuple(range(len(names), len(names) + ActionIndexMap.joints_per_arm)))
+        names.extend(f"{arm}_arm_joint_{j}" for j in range(ActionIndexMap.joints_per_arm))
+        finger_slots.append(len(names))
+        names.append(f"{arm}_fingers")
+    return ActionIndexMap(arms, tuple(names), tuple(joint_slots), tuple(finger_slots))
+
+
+SINGLE_ARM = _layout(("left",))
+DUAL_ARM = _layout(("left", "right"))
 
 # task kind -> action layout (dual-arm tasks hold the object with two arms)
 TASK_ACTIONS = {

@@ -7,10 +7,10 @@ other entry steps until it reports done: each step it produces one action,
 the stabilizer contribution (once its marker has been passed) is added, the
 sum is clamped and handed to the environment; this is the only place an
 action is saturated. Episodes stop on task success, on the step cap, or when
-every entry has finished. No entry keeps state: the outer loop holds the
-targets ``resolve`` evaluated and the observation at the marker, the inner
-loop the steps its entry has taken, and the records the previous observation
-the stabilizer reads.
+every entry has finished. No entry keeps state: the outer loop runs the
+entries ``resolve`` returned, each ``MoveTo`` with its evaluated target, and
+holds the observation at the marker, the inner loop the steps its entry has
+taken, and the records the previous observation the stabilizer reads.
 A plan that cannot be resolved against the first observation, or an error
 inside a step, fails that episode with its ``error`` set; it never ends the
 batch. Each ``StepRecord`` keeps the observation its sub-task saw, so the
@@ -73,11 +73,11 @@ def run_episode(task_kind: str, plan: Plan, env_config: EnvConfig | None = None,
     records: list[StepRecord] = []
     error: str | None = None
     try:
-        targets = resolve(plan, obs)
+        entries = resolve(plan, obs)
     except Exception as e:  # noqa: BLE001 - episode failures must not kill a batch
-        targets, error = [], f"resolve: {e}"
+        entries, error = (), f"resolve: {e}"
 
-    for idx, (entry, target) in enumerate(zip(plan.entries, targets)):
+    for idx, entry in enumerate(entries):
         if done or error is not None:
             break
         if isinstance(entry, ArmStabilizer):  # a plan has at most one
@@ -86,7 +86,7 @@ def run_episode(task_kind: str, plan: Plan, env_config: EnvConfig | None = None,
         taken, finished = 0, False
         while not (finished or done):
             try:
-                main, finished = entry.step(obs, target, taken)
+                main, finished = entry.step(obs, taken)
                 stab = stabilizer.step(obs, start, records[-1].obs if records else obs) if stabilizer is not None else zeros
                 final = clamp(add(main, stab))
                 record = StepRecord(entry.label, idx, final, main, stab, obs)

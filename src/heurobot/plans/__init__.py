@@ -12,7 +12,7 @@ filled in but the task's action layout and the actions built from it, every
 action a plan can emit. There are three entry kinds,
 ``MoveSteps``, ``MoveTo`` and the ``stabilizer_on`` marker
 ``ArmStabilizer``, and each is its own sub-task controller; ``resolve``
-only evaluates the ``MoveTo`` targets for one episode.
+returns one episode's entries, each ``MoveTo`` with its target evaluated.
 """
 
 from __future__ import annotations
@@ -229,11 +229,12 @@ def parse_plan(doc: object) -> Plan:
     return Plan(task_kind, tuple(entries))
 
 
-def resolve(plan: Plan, init_obs: Observation) -> list[float | None]:
-    """Evaluate a plan's targets against an episode's first observation.
+def resolve(plan: Plan, init_obs: Observation) -> tuple[PlanEntry, ...]:
+    """A plan's entries for the episode whose first observation is ``init_obs``.
 
-    Returns one entry per plan entry: the ``MoveTo`` target as a number,
-    ``None`` for every other kind. Targets are evaluated exactly once, here.
+    Each ``MoveTo`` comes back with its target evaluated to a number and every
+    other entry as it is. Targets are evaluated exactly once, here; the result
+    is a tuple, not a ``Plan``, so ``run_episode`` cannot take it back.
     """
     expected = TASK_OBJECT[plan.task_kind]
     if init_obs.object.kind != expected:
@@ -241,7 +242,9 @@ def resolve(plan: Plan, init_obs: Observation) -> list[float | None]:
             f"plan for {plan.task_kind!r} got an observation of a {init_obs.object.kind!r} "
             f"(expected {expected!r})"
         )
-    return [eval_target(e.target, init_obs) if isinstance(e, MoveTo) else None for e in plan.entries]
+    return tuple(
+        e._replace(target=eval_target(e.target, init_obs)) if isinstance(e, MoveTo) else e for e in plan.entries
+    )
 
 
 # ------------------------------------------------------------- documents

@@ -9,8 +9,9 @@ The arm stabilizer applies the same bang-bang rule to every arm joint at
 once: a joint inside its band on the previous observation and the current
 one is silent, and re-arms once it drifts out.
 All three are frozen plan entries built by ``parse_plan``, each its own
-controller, and none keeps state: the episode runner passes in what ``step``
-reads (a target and the steps taken, or the marker and previous observations).
+controller, and none keeps state: ``resolve`` writes each ``MoveTo`` its
+evaluated target, and the episode runner passes in the rest of what ``step``
+reads (the steps taken, or the marker and previous observations).
 Nor does any check what it reads: ``EnvConfig``'s envelope keeps every
 observation finite.
 
@@ -56,8 +57,8 @@ SELECTORS: dict[str, Selector] = {
 }
 
 
-# Entries hold names, numbers, indices and action layouts (which pickle by
-# name), never selector callables, so a ``Plan`` of them pickles to pool workers.
+# Entries are named tuples of names, numbers and action layouts, never selector
+# callables, so a ``Plan`` of them pickles, copies and compares by value.
 class MoveSteps(NamedTuple):
     """Emit a fixed action vector for ``steps`` steps."""
 
@@ -66,7 +67,7 @@ class MoveSteps(NamedTuple):
     steps: int
     vector: Action  # the document's ``action`` object, unnamed slots zero
 
-    def step(self, obs: Observation, target: None, taken: int) -> tuple[Action, bool]:
+    def step(self, obs: Observation, taken: int) -> tuple[Action, bool]:
         """The action for step ``taken + 1`` of this entry, and whether it is the last."""
         return self.vector, taken + 1 >= self.steps
 
@@ -84,15 +85,15 @@ class MoveTo(NamedTuple):
     label: str
     slot: str
     selector: str  # a key of ``SELECTORS``
-    target: float | str  # as written; ``step`` takes it evaluated
+    target: float | str  # as written by ``parse_plan``; a number once ``resolve`` evaluates it
     velocity: float
     threshold: float
     plus: Action  # +velocity at ``slot``
     minus: Action  # -velocity at ``slot``
 
-    def step(self, obs: Observation, target: float, taken: int) -> tuple[Action, bool]:
-        """One action toward ``target``, and whether the scalar was already inside the band."""
-        d = target - SELECTORS[self.selector](obs)
+    def step(self, obs: Observation, taken: int) -> tuple[Action, bool]:
+        """One action toward the evaluated ``target``, and whether the scalar was already inside the band."""
+        d = self.target - SELECTORS[self.selector](obs)
         return self.plus if d > 0 else self.minus, abs(d) < self.threshold
 
 

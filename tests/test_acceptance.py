@@ -53,7 +53,7 @@ def test_criterion_1_move_steps_fidelity():
         st = MoveSteps("move_steps", n, action)
         obs = make_obs()
         for k in range(n):
-            out, done = st.step(obs, None, k)
+            out, done = st.step(obs, k)
             if out != action or done != (k == n - 1):
                 violations += 1
     _report(1, "MoveSteps fidelity", violations == 0, f"{violations} violations over 500 cases")
@@ -81,7 +81,7 @@ def test_criterion_2_move_to_fidelity():
         ok = True
         done = False
         while not done:
-            act, done = mt.step(make_obs(robot=robot_state(platform_x=x)), xt, steps)
+            act, done = mt.step(make_obs(robot=robot_state(platform_x=x)), steps)
             if abs(act[idx]) != v or any(val != 0.0 for i, val in enumerate(act) if i != idx):
                 ok = False
                 break
@@ -121,7 +121,7 @@ def _held_load_deviation(seed: int, stabilize: bool) -> float:
     )
     done = False
     while not done:
-        act, done = rotate.step(obs, target, 0)
+        act, done = rotate.step(obs, 0)
         obs, _ = env.step(act)
     hold = imap.build({"left_fingers": 0.6, "right_fingers": 0.6})
     for _ in range(5):

@@ -92,6 +92,20 @@ def test_run_accepts_plan_file(tmp_path):
     assert header["plan"] == str(plan_path)
 
 
+@pytest.mark.parametrize(
+    "seed_args, seeds",
+    [(["--seeds=-3..-1"], [-3, -2, -1]), (["--seeds=-3,5"], [-3, 5]), (["--seeds", "-3"], [-3])],
+    ids=["range_after_equals", "comma_list_after_equals", "lone_negative_seed"],
+)
+def test_run_takes_negative_seeds(tmp_path, seed_args, seeds):
+    # argparse reads a separate "-3..-1" or "-3,5" as an option; after "=" it is the value
+    out = tmp_path / "o"
+    assert main(["run", "--task", "open_cabinet_door", *seed_args, "--out", str(out), "--quiet"]) == 0
+    summary = read_summary(out / "open_cabinet_door_summary.json")
+    assert [e["seed"] for e in summary["episodes"]] == seeds
+    assert sorted(p.name for p in out.glob("*.jsonl")) == sorted(f"open_cabinet_door_seed{s:05d}.jsonl" for s in seeds)
+
+
 def test_rerun_is_byte_identical(tmp_path):
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"

@@ -137,17 +137,6 @@ def test_records_carry_no_unread_fields():
     assert "subtask_steps" not in EpisodeResult._fields
 
 
-@pytest.mark.parametrize(
-    "arms",
-    [(), ("middle",), ("left", "left"), ("right",), ("right", "left"), ("left", "right", "right")],
-    ids=["no_arms", "middle", "left_left", "right_only", "right_left", "left_right_right"],
-)
-def test_index_map_rejects_arm_sets_the_stack_cannot_serve(arms):
-    # duplicate arms would share slot names; a lone right arm would be read at index 1
-    with pytest.raises(ValueError, match="invalid arm set"):
-        ActionIndexMap(arms)
-
-
 @pytest.mark.parametrize("m", [SINGLE_ARM, DUAL_ARM], ids=["one_arm", "two_arms"])
 def test_index_map_is_a_bijection(m):
     assert sorted(m.index_of(name) for name in m.slots) == list(range(m.dim))

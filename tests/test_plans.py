@@ -10,10 +10,11 @@ from pathlib import Path
 import pytest
 
 from heurobot.core import DUAL_ARM, SINGLE_ARM, TASK_ACTIONS, TASK_KINDS, read_json
-from heurobot.mockenv import EnvConfig
+from heurobot.mockenv import EnvConfig, MockEnv
 from heurobot.orchestrator import run_episode
 from heurobot.plans import (
     PLAN_DATA_DIR,
+    Plan,
     PlanError,
     builtin_plan,
     eval_target,
@@ -354,17 +355,16 @@ def door_obs(handle=(0.7, 0.0, 0.62)):
 
 def test_resolve_copies_handle_height_into_target():
     plan = builtin_plan("open_cabinet_door")
-    targets = resolve(plan, door_obs(handle=(0.7, 0.0, 0.62)))
+    entries = resolve(plan, door_obs(handle=(0.7, 0.0, 0.62)))
     assert isinstance(plan.entries[2], MoveTo)
-    assert targets[2] == 0.62
+    assert entries[2].target == 0.62
 
 
 def test_resolve_facing_yaw_is_bearing_to_handle():
     # handle at 30 degrees from a robot at the origin facing +x
     handle = (math.cos(math.radians(30)), math.sin(math.radians(30)), 0.5)
     plan = builtin_plan("open_cabinet_door")
-    targets = resolve(plan, door_obs(handle=handle))
-    assert targets[1] == pytest.approx(0.5236, abs=1e-4)
+    assert resolve(plan, door_obs(handle=handle))[1].target == pytest.approx(0.5236, abs=1e-4)
 
 
 def test_resolve_object_kind_mismatch():
@@ -379,29 +379,38 @@ def test_resolve_is_deterministic():
     assert resolve(plan, obs) == resolve(plan, obs)
 
 
-def test_resolve_returns_one_target_per_entry():
-    plan = builtin_plan("move_bucket")
-    targets = resolve(plan, make_obs(obj=bucket_attributes()))
-    assert len(targets) == len(plan.entries)
-    for entry, target in zip(plan.entries, targets):
-        assert (target is None) == (not isinstance(entry, MoveTo))
-        assert target is None or math.isfinite(target)
+@pytest.mark.parametrize("task_kind", TASK_KINDS)
+def test_resolve_gives_each_move_to_its_evaluated_target(task_kind):
+    plan = builtin_plan(task_kind)
+    for seed in range(5):
+        obs, _ = MockEnv(task_kind).reset(seed)
+        entries = resolve(plan, obs)
+        assert len(entries) == len(plan.entries)
+        for parsed, entry in zip(plan.entries, entries):
+            if isinstance(parsed, MoveTo):
+                assert type(entry) is MoveTo and entry._replace(target=parsed.target) == parsed
+                assert type(entry.target) is float and math.isfinite(entry.target)
+            else:
+                assert entry is parsed
+        # an evaluated target is a literal one: resolving again changes nothing
+        assert resolve(Plan(task_kind, entries), obs) == entries
 
 
-def test_resolve_marker_and_literal_targets():
+def test_resolve_keeps_literal_targets_and_the_marker():
     text = """
     {"task_kind": "push_chair", "entries": [
       {"kind": "move_to", "label": "spin", "slot": "platform_rotation", "selector": "platform_yaw", "target": 0.5,
        "velocity": 0.3, "threshold": 0.02},
-      {"kind": "move_to", "label": "slide", "slot": "platform_y", "selector": "platform_y", "target": 0.5,
+      {"kind": "move_to", "label": "slide", "slot": "platform_y", "selector": "platform_y", "target": -0.25,
        "velocity": 0.3, "threshold": 0.01},
       {"kind": "stabilizer_on", "label": "hold_still"}
     ]}
     """
     plan = parse_plan(json.loads(text))
-    marker = plan.entries[2]
-    assert isinstance(marker, ArmStabilizer) and marker == ArmStabilizer("hold_still", DUAL_ARM)
-    assert resolve(plan, make_obs(obj=chair_attributes())) == [0.5, 0.5, None]
+    entries = resolve(plan, make_obs(obj=chair_attributes()))
+    assert [entry.target for entry in entries[:2]] == [0.5, -0.25]
+    assert entries == plan.entries and entries[2] is plan.entries[2]
+    assert entries[2] == ArmStabilizer("hold_still", DUAL_ARM)
 
 
 def test_eval_target_vocabulary():
@@ -428,27 +437,19 @@ def test_eval_target_facing_yaw_avoids_wrap_crossing():
     assert abs(target - 3.0) < math.pi
 
 
-def test_move_steps_resolution_builds_named_action():
+def test_move_steps_parse_builds_named_action():
     plan = builtin_plan("open_cabinet_door")
     grasp = plan.entries[5]
     assert isinstance(grasp, MoveSteps)
     assert grasp.steps == 15
     assert grasp.vector[12] == 0.6  # left_fingers slot
     assert sum(1 for v in grasp.vector if v != 0.0) == 1
-    assert resolve(plan, door_obs())[5] is None
 
 
 @pytest.mark.parametrize("task_kind", TASK_KINDS)
 def test_builtin_plan_survives_pickling(task_kind):
-    # pool workers receive the plan pickled: its entries hold names, never callables
+    # pool workers receive the plan pickled: named tuples and numbers all the way down, never callables
     plan = builtin_plan(task_kind)
-    assert pickle.loads(pickle.dumps(plan)) == plan
-
-
-def test_action_layouts_pickle_and_copy_by_name():
-    # a spawned pool worker unpickles the plan's marker onto its own module's layout
-    for index_map in (SINGLE_ARM, DUAL_ARM):
-        assert pickle.loads(pickle.dumps(index_map)) is index_map
-        assert copy.copy(index_map) is index_map and copy.deepcopy(index_map) is index_map
-    marker = next(e for e in builtin_plan("move_bucket").entries if isinstance(e, ArmStabilizer))
-    assert pickle.loads(pickle.dumps(marker)).index_map is DUAL_ARM
+    for value in (plan, TASK_ACTIONS[task_kind]):
+        for clone in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
+            assert type(clone) is type(value) and clone == value and hash(clone) == hash(value)

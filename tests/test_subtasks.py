@@ -31,11 +31,11 @@ def move_to(target, index, dim, velocity, threshold, selector="platform_x"):
     return MoveTo("move_to", "platform_x", selector, target, velocity, threshold, plus, minus)
 
 
-def run_entry(entry, target, observe):
+def run_entry(entry, observe):
     """Step ``entry`` until it reports done; ``observe(actions so far)`` gives each observation."""
     actions, done = [], False
     while not done:
-        act, done = entry.step(observe(actions), target, len(actions))
+        act, done = entry.step(observe(actions), len(actions))
         actions.append(act)
     return actions
 
@@ -46,14 +46,14 @@ def run_entry(entry, target, observe):
 def test_move_steps_emits_action_n_times_then_done():
     st = move_steps((0.5, 0.0), 3)
     obs = obs_at(0.0)
-    assert st.step(obs, None, 0) == ((0.5, 0.0), False)
-    assert st.step(obs, None, 1) == ((0.5, 0.0), False)
-    assert st.step(obs, None, 2) == ((0.5, 0.0), True)
+    assert st.step(obs, 0) == ((0.5, 0.0), False)
+    assert st.step(obs, 1) == ((0.5, 0.0), False)
+    assert st.step(obs, 2) == ((0.5, 0.0), True)
 
 
 def test_move_steps_single_step():
     st = move_steps((0.1,), 1)
-    act, done = st.step(obs_at(0.0), None, 0)
+    act, done = st.step(obs_at(0.0), 0)
     assert act == (0.1,) and done
 
 
@@ -62,34 +62,40 @@ def test_move_steps_single_step():
 
 def test_move_to_positive_distance_emits_plus_v():
     mt = move_to(1.0, 0, 2, 0.5, 0.1)
-    act, done = mt.step(obs_at(0.2), 1.0, 0)
+    act, done = mt.step(obs_at(0.2), 0)
     assert act == (0.5, 0.0) and not done
 
 
 def test_move_to_within_threshold_emits_minus_v_and_finishes():
     mt = move_to(1.0, 0, 2, 0.5, 0.1)
-    act, done = mt.step(obs_at(1.05), 1.0, 0)
+    act, done = mt.step(obs_at(1.05), 0)
     assert act == (-0.5, 0.0) and done
 
 
 def test_move_to_exactly_on_target():
     # d = 0 takes the else branch: one -v emission, then immediately done
     mt = move_to(1.0, 0, 3, 0.4, 0.05)
-    act, done = mt.step(obs_at(1.0), 1.0, 0)
+    act, done = mt.step(obs_at(1.0), 0)
     assert act == (-0.4, 0.0, 0.0) and done
 
 
-def test_move_to_steps_toward_the_target_it_is_given():
-    # the as-written ``target`` is for ``resolve``; ``step`` uses the evaluated one
+def test_move_to_steps_toward_its_own_target():
+    # ``resolve`` hands each episode a ``_replace``d entry; the direction follows that entry's target
     mt = move_to("handle_x", 0, 1, 0.5, 0.1)
-    assert mt.step(obs_at(0.0), -1.0, 0) == ((-0.5,), False)
-    assert mt.step(obs_at(0.0), 1.0, 0) == ((0.5,), False)
+    assert mt._replace(target=-1.0).step(obs_at(0.0), 0) == ((-0.5,), False)
+    assert mt._replace(target=1.0).step(obs_at(0.0), 0) == ((0.5,), False)
+
+
+def test_move_to_with_an_unevaluated_target_cannot_step():
+    # a parsed entry whose target is still an expression fails loudly rather than steering
+    with pytest.raises(TypeError):
+        move_to("handle_x", 0, 1, 0.5, 0.1).step(obs_at(0.0), 0)
 
 
 def test_move_to_nan_selector_output_steps_negative_and_never_converges():
     # the env never observes NaN; a hand-built observation that does runs the entry to the step cap
     mt = move_to(0.0, 1, 3, 0.5, 0.01)
-    assert mt.step(obs_at(math.nan), 0.0, 0) == ((0.0, -0.5, 0.0), False)
+    assert mt.step(obs_at(math.nan), 0) == ((0.0, -0.5, 0.0), False)
 
 
 def _run_move_to(x0, xt, v, t, delta, max_steps=100000):
@@ -97,7 +103,7 @@ def _run_move_to(x0, xt, v, t, delta, max_steps=100000):
         assert len(actions) <= max_steps
         return obs_at(x0 + sum(act[0] for act in actions) * delta)
 
-    actions = run_entry(move_to(xt, 0, 1, v, t), xt, observe)
+    actions = run_entry(move_to(xt, 0, 1, v, t), observe)
     assert all(act[0] in (v, -v) for act in actions)
     return len(actions)
 
@@ -134,7 +140,7 @@ def test_move_to_every_emission_is_one_hot():
         target = rng.uniform(-1, 1)
         x0 = rng.uniform(-1, 1)
         actions = run_entry(
-            move_to(target, idx, dim, v, 0.05), target, lambda acts: obs_at(x0 + sum(a[idx] for a in acts) * 0.02)
+            move_to(target, idx, dim, v, 0.05), lambda acts: obs_at(x0 + sum(a[idx] for a in acts) * 0.02)
         )
         for act in actions:
             assert abs(act[idx]) == v
@@ -324,7 +330,7 @@ class CorrectorBankOracle:
         out = [0.0] * self.index_map.dim
         for k, mt in enumerate(self.correctors):
             gained = mt._replace(plus=self.index_map.build({mt.slot: g}), minus=self.index_map.build({mt.slot: -g}))
-            act, inside = gained.step(obs, mt.target, 0)
+            act, inside = gained.step(obs, 0)
             if self.done[k] and inside:
                 continue  # converged and still inside the band
             self.done[k] = inside  # re-arms once the joint drifts out
